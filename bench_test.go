@@ -145,14 +145,14 @@ func BenchmarkFigure4_CommGen(b *testing.B) {
 }
 
 // BenchmarkHarnessSweep runs the differential evaluation harness on a
-// family-diverse corpus prefix under all three execution engines and
-// reports the aggregate offload-profile overlap gain (gm-geomean, the
-// regression gate of cmd/evalrunner) as a custom metric alongside the
-// sweep's wall cost — the walk/compile/bytecode ratios here are the
-// speedups the fast tiers buy the measurement loop.
+// family-diverse corpus prefix under both execution engines and reports
+// the aggregate offload-profile overlap gain (gm-geomean, the regression
+// gate of cmd/evalrunner) as a custom metric alongside the sweep's wall
+// cost — the walk/bytecode ratio here is the speedup the compiled engine
+// buys the measurement loop.
 func BenchmarkHarnessSweep(b *testing.B) {
 	corpus := workload.GenerateScenarios(workload.GenOptions{Limit: 6})
-	for _, engine := range []exec.Engine{exec.EngineWalk, exec.EngineCompile, exec.EngineBytecode} {
+	for _, engine := range []exec.Engine{exec.EngineWalk, exec.EngineBytecode} {
 		b.Run(string(engine), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep, err := harness.Run(harness.Config{Scenarios: corpus, Parallelism: 4, Engine: engine})
@@ -170,13 +170,15 @@ func BenchmarkHarnessSweep(b *testing.B) {
 
 // BenchmarkEngineRun compares one simulated run per engine on a mid-size
 // corpus kernel: the walk engine pays parse + tree-walk every time, the
-// compiled engine replays a cached closure program, and the bytecode tier
-// replays the same cached program through its lowered register machine.
+// bytecode engine replays a cached program through its lowered register
+// machine. Allocations per run are a deterministic counter worth
+// tracking across changes.
 func BenchmarkEngineRun(b *testing.B) {
 	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 4})[3]
 	m := plan.MPICHGM2005()
-	for _, engine := range []exec.Engine{exec.EngineWalk, exec.EngineCompile, exec.EngineBytecode} {
+	for _, engine := range []exec.Engine{exec.EngineWalk, exec.EngineBytecode} {
 		b.Run(string(engine), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := engine.Run(sc.Source, sc.NP, m.Costs, m.Profile); err != nil {
 					b.Fatal(err)
@@ -220,8 +222,8 @@ func BenchmarkVerifyVariant(b *testing.B) {
 	})
 }
 
-// BenchmarkCompile measures the compile step itself (parse + closure
-// lowering) — the cost the variant cache amortizes to one per variant.
+// BenchmarkCompile measures the compile step itself (parse + slot
+// assignment) — the cost the variant cache amortizes to one per variant.
 func BenchmarkCompile(b *testing.B) {
 	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 4})[3]
 	b.ReportAllocs()
@@ -233,9 +235,9 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // BenchmarkBytecodeCompile measures the bytecode lowering on top of a
-// fresh closure compile — the one-time cost the bytecode tier adds per
-// variant before its cached register program replays for free. Compare
-// against BenchmarkCompile for the lowering's marginal cost.
+// fresh compile — the one-time cost per variant before its cached
+// register program replays for free. Compare against BenchmarkCompile for
+// the lowering's marginal cost.
 func BenchmarkBytecodeCompile(b *testing.B) {
 	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 4})[3]
 	b.ReportAllocs()

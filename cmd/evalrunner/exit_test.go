@@ -27,6 +27,7 @@ func TestUnknownEngineExit2(t *testing.T) {
 		wantOut string
 	}{
 		{name: "unknown engine", args: "-engine jit", wantOut: "unknown engine"},
+		{name: "compile engine", args: "-engine compile", wantOut: "unknown engine"},
 		{name: "unknown tune check engine", args: "-tune -tune-check-engine jit", wantOut: "unknown engine"},
 	}
 	for _, c := range cases {

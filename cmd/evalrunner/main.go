@@ -15,7 +15,7 @@
 // Usage:
 //
 //	evalrunner [-out BENCH_harness.json] [-seed N] [-limit N] [-shard I/N]
-//	           [-machines a,b] [-engine bytecode|compile|walk] [-parallel N]
+//	           [-machines a,b] [-engine bytecode|walk] [-parallel N]
 //	           [-min 20] [-q] [-tune] [-tunemax N] [-tune-konly]
 //	           [-tune-check-engine walk] [-cache-dir DIR] [-verify]
 //	           [-check-baseline BENCH_harness.json] [-baseline-tol 0.01]
@@ -33,9 +33,8 @@
 // -engine selects the execution engine: "bytecode" (default) lowers every
 // (program, plan) variant once into a register-based flat instruction
 // stream — constant folding, batched cost charges, bounds-check
-// elimination — shared through the sweep's variant store; "compile" runs
-// the closure mid-tier the bytecode lowering falls back on; "walk"
-// re-parses and tree-walks the AST per run, retained as the bit-identical
+// elimination — shared through the sweep's variant store; "walk" re-parses
+// and tree-walks the AST per run, retained as the bit-identical
 // differential oracle. The report records the engine and the cache
 // economics (variants_compiled, cache_hits, disk_hits, sweep_wall_ns).
 //
@@ -125,7 +124,7 @@ func main() {
 	merge := flag.Bool("merge", false, "merge shard artifacts named as arguments instead of sweeping")
 	fleetAddr := flag.String("fleet", "", "dispatch the sweep to a fleet coordinator at this base URL instead of sweeping in-process ('' = in-process)")
 	fleetShards := flag.Int("fleet-shards", 0, "shard work items for a -fleet sweep (0 = one per live worker)")
-	engineName := flag.String("engine", "", "execution engine: bytecode (default; cached register programs), compile (closure mid-tier), or walk (tree-walking oracle)")
+	engineName := flag.String("engine", "", "execution engine: bytecode (default; cached register programs) or walk (tree-walking oracle)")
 	baselinePath := flag.String("check-baseline", "", "fail if per-profile geomeans regress vs this committed artifact ('' disables)")
 	baselineTol := flag.Float64("baseline-tol", 0.01, "relative tolerance for -check-baseline (0.01 = 1%)")
 	summaryMD := flag.String("summary-md", "", "append the per-profile geomean table as markdown to this file (e.g. $GITHUB_STEP_SUMMARY)")

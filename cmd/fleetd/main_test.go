@@ -28,6 +28,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}{
 		{name: "unknown engine", args: "-worker -coord http://127.0.0.1:1 -engine jit", wantOut: "unknown engine"},
 		{name: "misspelled tier", args: "-worker -coord http://127.0.0.1:1 -engine byte-code", wantOut: "unknown engine"},
+		{name: "compile engine", args: "-worker -coord http://127.0.0.1:1 -engine compile", wantOut: "unknown engine"},
 		{name: "engine without worker", args: "-engine walk", wantOut: "worker-mode flag"},
 		{name: "worker without coord", args: "-worker -engine bytecode", wantOut: "-coord"},
 	}

@@ -28,6 +28,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}{
 		{name: "unknown engine", args: "-engine jit", wantOut: "unknown engine"},
 		{name: "misspelled tier", args: "-engine byte-code", wantOut: "unknown engine"},
+		{name: "compile engine", args: "-engine compile", wantOut: "unknown engine"},
 		{name: "walk engine with cache dir", args: "-engine walk -cache-dir varcache", wantOut: "compiles nothing"},
 		{name: "positional arguments", args: "extra", wantOut: "unexpected arguments"},
 	}

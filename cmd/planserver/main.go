@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	planserver [-addr :8714] [-engine bytecode|compile|walk] [-cache-dir DIR]
+//	planserver [-addr :8714] [-engine bytecode|walk] [-cache-dir DIR]
 //	           [-fleet URL] [-drain 30s]
 //
 // With -fleet, a cold query (one the plan memo cannot answer) is not tuned
@@ -75,7 +75,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8714", "listen address")
-	engineName := flag.String("engine", "", "execution engine for measured runs: bytecode (default), compile, or walk")
+	engineName := flag.String("engine", "", "execution engine for measured runs: bytecode (default) or walk")
 	cacheDir := flag.String("cache-dir", "", "persist compiled variants content-addressed under this directory ('' = in-memory only)")
 	fleetAddr := flag.String("fleet", "", "dispatch cold queries to a fleet coordinator at this base URL instead of tuning inline ('' = inline)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight queries")

@@ -1,10 +1,13 @@
-// Lowering from the compiled unit's AST + symbol table to bytecode. The
-// lowering never fails: anything it cannot model natively falls back to the
-// closure tier (bEval/bStmt instructions invoking the mid-tier's
-// pre-resolved closures), so every program lowers and the result is
-// bit-identical to the walk oracle on every path.
+// Lowering from each compiled unit's AST + symbol table to bytecode. The
+// lowering never fails: anything that can only fault at run time lowers to
+// an instruction raising the walk oracle's error at the same point, so
+// every program lowers and the result is bit-identical to the walk oracle
+// on every path.
 //
 // Compile-time work:
+//   - frame setup: named constants, declarations and dummy-argument views
+//     lower into the unit's prologue, charged exactly like the walker's
+//     frame setup;
 //   - constant folding: parameter constants, MPI named constants, and any
 //     arithmetic over them fold into deduplicated initialized registers
 //     (folded constants are materialized once per activation — the
@@ -18,7 +21,9 @@
 //     descriptor at compile time;
 //   - static kind analysis: scalars and arrays with stable runtime kinds
 //     get integer fast-path opcodes (bAddI, bLtI, ...), with DO-variable
-//     writes and call-site aliasing poisoning unstable kinds.
+//     writes and call-site aliasing poisoning unstable kinds;
+//   - cell analysis: names whose scalar cell provably exists once setup
+//     ends use direct slot access; the rest use checked name opcodes.
 package exec
 
 import (
@@ -32,13 +37,32 @@ import (
 // kUnknown marks a statically-unknown runtime kind.
 const kUnknown interp.Kind = -1
 
-// Bytecode returns the lazily-lowered bytecode form of the program's main
-// unit. Lowering never fails and runs at most once per Program.
+// Bytecode returns the lowered form of the program's main unit, lowering
+// every unit on first use. Lowering never fails and runs at most once per
+// Program.
 func (p *Program) Bytecode() *bprog {
 	p.bcOnce.Do(func() {
-		p.bc = lowerMain(p)
+		l := &lowering{subs: map[string]*unit{}, vecMap: map[[5]int64]int32{}}
+		for _, u := range p.units {
+			u.bc = &bprog{u: u, implicitNone: u.cm.implicitNone}
+			if u != p.main {
+				l.subs[u.name] = u
+			}
+		}
+		for _, u := range p.units {
+			l.lower(u, u == p.main)
+		}
+		p.vecs = l.vecs
 	})
-	return p.bc
+	return p.main.bc
+}
+
+// lowering is the program-wide lowering state: callee resolution and the
+// charge vectors all units share.
+type lowering struct {
+	subs   map[string]*unit
+	vecMap map[[5]int64]int32
+	vecs   [][5]int64
 }
 
 // arrGeo is the static shape knowledge for one array slot.
@@ -63,92 +87,92 @@ type rv struct {
 type loopFrame struct {
 	exitPatches []int32 // bJmp pcs needing endPC
 	contPatches []int32 // bJmp pcs needing contPC
-	stmtPatches []int32 // bStmt pcs needing (contPC, endPC)
+	callPatches []int32 // bCall pcs needing (contPC, endPC)
 }
 
 // bc is the lowering state for one unit.
 type bc struct {
+	l  *lowering
 	c  *comp
 	bp *bprog
+	// setup is set while lowering the prologue: cells and arrays may not
+	// exist yet, and named constants become visible one by one.
+	setup bool
 
-	nreg      int32
 	constRegs map[interp.Value]int32
-	vecMap    map[[5]int64]int32
 	pending   [5]int64
 
-	foldConst map[string]interp.Value // folded named-constant values
-	mpiName   map[string]bool         // MPI constants safe to fold in the body
-	mpiSetup  map[string]bool         // MPI constants safe to fold during setup
-	kills     map[string]bool         // scalar names stored anywhere in the unit
-	poisoned  map[string]bool         // names whose cell kind may change at runtime
-	declScal  map[string]interp.Kind  // first non-param scalar decl kind
-	isParam   map[string]bool
-	cellSet   map[string]bool // cell guaranteed to exist when the body runs
-	scalK     map[string]interp.Kind
-	arrInfo   map[string]*arrGeo
-	intConsts map[string]int64
-	facts     map[string]factRange
-	loops     []*loopFrame
+	foldConst  map[string]interp.Value // folded named-constant values
+	mpiName    map[string]bool         // MPI constants safe to fold in the body
+	mpiSetup   map[string]bool         // MPI constants safe to fold during setup
+	kills      map[string]bool         // scalar names stored anywhere in the unit
+	poisoned   map[string]bool         // names whose cell kind may change at runtime
+	declScal   map[string]interp.Kind  // first non-param scalar decl kind
+	setupReads map[string]bool         // names read through checked loads during setup
+	earlyRead  map[string]bool         // declared scalars setup may create before their decl
+	isParam    map[string]bool
+	cellSet    map[string]bool // cell guaranteed to exist when the body runs
+	scalK      map[string]interp.Kind
+	arrInfo    map[string]*arrGeo // arrays guaranteed to exist when the body runs
+	intConsts  map[string]int64
+	facts      map[string]factRange
+	loops      []*loopFrame
 }
 
-// lowerMain lowers the main unit's body. Frame setup stays on the closure
-// tier (it runs once per activation); the body — where all repeated work
-// lives — becomes bytecode.
-func lowerMain(p *Program) *bprog {
-	c := p.main.cm
+// lower lowers one unit into its (pre-allocated) bprog: the setup
+// prologue, then the body.
+func (l *lowering) lower(u *unit, main bool) {
 	b := &bc{
-		c:         c,
-		bp:        &bprog{},
-		constRegs: map[interp.Value]int32{},
-		vecMap:    map[[5]int64]int32{},
-		foldConst: map[string]interp.Value{},
-		mpiName:   map[string]bool{},
-		mpiSetup:  map[string]bool{},
-		kills:     map[string]bool{},
-		poisoned:  map[string]bool{},
-		declScal:  map[string]interp.Kind{},
-		isParam:   map[string]bool{},
-		cellSet:   map[string]bool{},
-		scalK:     map[string]interp.Kind{},
-		arrInfo:   map[string]*arrGeo{},
-		intConsts: map[string]int64{},
-		facts:     map[string]factRange{},
+		l:          l,
+		c:          u.cm,
+		bp:         u.bc,
+		constRegs:  map[interp.Value]int32{},
+		foldConst:  map[string]interp.Value{},
+		mpiName:    map[string]bool{},
+		mpiSetup:   map[string]bool{},
+		kills:      map[string]bool{},
+		poisoned:   map[string]bool{},
+		declScal:   map[string]interp.Kind{},
+		setupReads: map[string]bool{},
+		earlyRead:  map[string]bool{},
+		isParam:    map[string]bool{},
+		cellSet:    map[string]bool{},
+		scalK:      map[string]interp.Kind{},
+		arrInfo:    map[string]*arrGeo{},
+		intConsts:  map[string]int64{},
+		facts:      map[string]factRange{},
 	}
-	b.analyze()
-	for _, st := range c.u.Body {
+	b.scan()
+	b.prologue(main)
+	b.bodyFacts()
+	for _, st := range b.c.u.Body {
 		b.stmt(st)
 	}
 	b.flush()
-	b.bp.nreg = int(b.nreg)
-	return b.bp
 }
 
 // --- static analysis ---
 
-func (b *bc) analyze() {
+// scan collects the declaration and store facts setup lowering needs.
+func (b *bc) scan() {
 	u := b.c.u
 	for _, p := range u.Params {
 		b.isParam[p] = true
 	}
 	b.scanKills(u.Body)
 
-	// Declared-name facts: first non-param scalar decl fixes the cell kind
-	// (later decls keep the existing cell); last non-param array decl fixes
-	// the geometry (later decls replace the allocation).
+	// Declared-name facts: the first non-param scalar decl fixes the cell
+	// kind (later decls keep the existing cell).
 	hasDeclEntity := map[string]bool{}
 	for _, d := range u.Decls {
 		for _, e := range d.Entities {
 			hasDeclEntity[e.Name] = true
-			if d.Parameter {
+			if d.Parameter || len(d.DimsOf(e)) > 0 {
 				continue
 			}
-			if len(d.DimsOf(e)) > 0 {
-				continue // array geometry resolved below, decl-order last-wins
+			if _, seen := b.declScal[e.Name]; !seen {
+				b.declScal[e.Name] = declKind(d.Type.Base, e.Init)
 			}
-			if _, seen := b.declScal[e.Name]; seen {
-				continue
-			}
-			b.declScal[e.Name] = declKind(d.Type.Base, e.Init)
 		}
 	}
 
@@ -164,10 +188,16 @@ func (b *bc) analyze() {
 			b.intConsts[s.name] = s.mpi
 		}
 	}
+}
 
-	// Parameter constants fold in declaration order; a forward reference
-	// (which the walker resolves to an implicit zero mid-setup) marks the
-	// constant unfoldable rather than guessing.
+// prologue lowers frame setup in the tree-walker's order: named constants
+// first (each visible to the ones after it), then variables and arrays
+// declaration by declaration, then bBody.
+func (b *bc) prologue(main bool) {
+	b.setup = true
+	u := b.c.u
+	// A constant folds for the body only if every initializer of its name
+	// folded; a forward reference (an implicit zero mid-setup) does not.
 	unfoldable := map[string]bool{}
 	for _, d := range u.Decls {
 		if !d.Parameter {
@@ -177,7 +207,8 @@ func (b *bc) analyze() {
 			if e.Init == nil {
 				continue
 			}
-			v, ok := b.foldSetup(e.Init)
+			r, v, ok := b.lowerFold(e.Init)
+			b.emit(bSetConst, int32(b.c.syms[e.Name].cslot), r.reg, int32(d.Type.Base))
 			if !ok || unfoldable[e.Name] {
 				delete(b.foldConst, e.Name)
 				unfoldable[e.Name] = true
@@ -186,67 +217,105 @@ func (b *bc) analyze() {
 			b.foldConst[e.Name] = interp.CoerceDecl(d.Type.Base, v)
 		}
 	}
-	for n, v := range b.foldConst {
-		if v.Kind == interp.KInt {
-			b.intConsts[n] = v.I
-		}
-	}
-
-	// Array geometry: non-dummy names with at least one non-param array
-	// decl are non-nil after setup; statically-foldable dims give BCE
-	// geometry (column-major strides, exactly NewArray's layout).
+	declared := map[string]bool{}
 	for _, d := range u.Decls {
 		if d.Parameter {
 			continue
 		}
 		for _, e := range d.Entities {
-			dims := d.DimsOf(e)
-			if len(dims) == 0 || b.isParam[e.Name] {
-				continue
-			}
 			s := b.c.syms[e.Name]
-			if s == nil || s.aslot < 0 {
+			if dims := d.DimsOf(e); len(dims) > 0 {
+				b.arrayDecl(s, d.Type.Base, dims, d.Pos())
 				continue
 			}
-			g := &arrGeo{aslot: int32(s.aslot), kind: storageKind(d.Type.Base)}
-			static := true
-			stride := int64(1)
-			for _, dim := range dims {
-				lo := int64(1)
-				if dim.Lo != nil {
-					v, ok := b.foldSetup(dim.Lo)
-					if !ok {
-						static = false
-						break
-					}
-					lo = v.AsInt()
-				}
-				if dim.Hi == nil {
-					static = false // assumed-size: setup errors anyway
-					break
-				}
-				hv, ok := b.foldSetup(dim.Hi)
-				if !ok {
-					static = false
-					break
-				}
-				hi := hv.AsInt()
-				if hi-lo+1 < 0 {
-					static = false
-					break
-				}
-				g.lo = append(g.lo, lo)
-				g.hi = append(g.hi, hi)
-				g.stride = append(g.stride, stride)
-				stride *= hi - lo + 1
+			if !declared[e.Name] {
+				// A checked read earlier in setup may already have created
+				// the cell with its implicit kind; the declaration keeps it.
+				declared[e.Name] = true
+				b.earlyRead[e.Name] = b.setupReads[e.Name]
 			}
-			if !static {
-				g.lo, g.hi, g.stride = nil, nil, nil
-			}
-			b.arrInfo[e.Name] = g // last decl wins
+			b.scalarDecl(s, d.Type.Base, e.Init)
 		}
 	}
+	b.flush()
+	var m int32
+	if main {
+		m = 1
+	}
+	b.emit(bBody, m)
+	b.setup = false
+}
 
+// scalarDecl lowers pass-2 handling of a declared scalar: keep an existing
+// cell (a dummy, or one created earlier), else create it from the
+// initializer or the declared kind's zero.
+func (b *bc) scalarDecl(s *sym, base ftn.BaseType, init ftn.Expr) {
+	b.flush()
+	skip := b.emit(bJCell, -1, int32(s.sslot))
+	var v int32
+	if init != nil {
+		v = b.expr(init).reg
+	} else {
+		v = b.constReg(interp.ZeroOf(interp.KindOf(base)))
+	}
+	b.emit(bNewS, int32(s.sslot), v, int32(base))
+	b.flush()
+	b.patch(skip, b.here())
+}
+
+// arrayDecl lowers pass-2 handling of a declared array: bounds evaluated
+// in this frame, then a view of the caller's binding or an allocation. The
+// array exists once setup ends; statically-folded bounds of a non-dummy
+// also give the body its BCE geometry (column-major strides, exactly
+// NewArray's layout). The last declaration of a name wins.
+func (b *bc) arrayDecl(s *sym, base ftn.BaseType, dims []ftn.Dim, pos ftn.Pos) {
+	d := declDesc{aslot: int32(s.aslot), kind: interp.KindOf(base), name: s.name, pos: pos, dummy: b.isParam[s.name]}
+	g := &arrGeo{aslot: d.aslot, kind: storageKind(base)}
+	if d.dummy {
+		g.kind = kUnknown // a view shares the caller's storage, of any kind
+	}
+	static := !d.dummy
+	stride := int64(1)
+	for _, dim := range dims {
+		lo, hi := int32(-1), int32(-1)
+		loV := int64(1)
+		if dim.Lo != nil {
+			r, v, ok := b.lowerFold(dim.Lo)
+			lo, loV, static = r.reg, v.AsInt(), static && ok
+		}
+		if dim.Hi == nil {
+			static = false // assumed-size: only a view can take it
+		} else {
+			r, v, ok := b.lowerFold(dim.Hi)
+			hi = r.reg
+			if ext := v.AsInt() - loV + 1; static && ok && ext >= 0 {
+				g.lo = append(g.lo, loV)
+				g.hi = append(g.hi, v.AsInt())
+				g.stride = append(g.stride, stride)
+				stride *= ext
+			} else {
+				static = false
+			}
+		}
+		d.lo = append(d.lo, lo)
+		d.hi = append(d.hi, hi)
+	}
+	if !static {
+		g.lo, g.hi, g.stride = nil, nil, nil
+	}
+	b.flush()
+	b.bp.decls = append(b.bp.decls, d)
+	b.emit(bNewA, int32(len(b.bp.decls)-1))
+	b.arrInfo[s.name] = g
+}
+
+// bodyFacts derives what the body may assume once setup has run.
+func (b *bc) bodyFacts() {
+	for n, v := range b.foldConst {
+		if v.Kind == interp.KInt {
+			b.intConsts[n] = v.I
+		}
+	}
 	// Cell existence and static kinds. A cell is sure when a non-param
 	// scalar decl creates it during setup, or when the name is eligible
 	// for pre-creation (the walker would lazily create the same cell).
@@ -254,8 +323,8 @@ func (b *bc) analyze() {
 		name := s.name
 		if k, ok := b.declScal[name]; ok {
 			b.cellSet[name] = true
-			if b.isParam[name] {
-				k = kUnknown // dummy: the caller's cell, any kind
+			if b.isParam[name] || b.earlyRead[name] {
+				k = kUnknown // the caller's cell, or an implicit one: any kind
 			}
 			b.scalK[name] = k
 			continue
@@ -274,9 +343,17 @@ func (b *bc) analyze() {
 			b.scalK[name] = kUnknown
 		}
 	}
+	// Dummy arrays the unit never declares take the caller's binding as-is.
+	seen := map[string]bool{}
+	for _, p := range b.c.u.Params {
+		if !seen[p] && b.arrInfo[p] == nil {
+			seen[p] = true
+			b.bp.bindRest = append(b.bp.bindRest, int32(b.c.syms[p].aslot))
+		}
+	}
 }
 
-// declKind is the runtime kind of a cell created by scalarDeclStep:
+// declKind is the runtime kind of a cell a scalar declaration creates:
 // ZeroOf(KindOf(base)) without an initializer, CoerceDecl(base, init) with
 // one — which only pins the kind for integer and real declarations.
 func declKind(base ftn.BaseType, init ftn.Expr) interp.Kind {
@@ -340,62 +417,10 @@ func killsIn(stmts []ftn.Stmt) map[string]bool {
 
 // --- constant folding ---
 
-// foldSetup folds an expression in frame-setup context (constant
-// initializers, array bounds): literals, already-folded constants, and MPI
-// names with no declaration. No charge counting — setup stays on closures.
-func (b *bc) foldSetup(e ftn.Expr) (interp.Value, bool) {
-	switch e := e.(type) {
-	case *ftn.IntLit:
-		return interp.IntVal(e.Value), true
-	case *ftn.RealLit:
-		return interp.RealVal(e.Value), true
-	case *ftn.StrLit:
-		return interp.StrVal(e.Value), true
-	case *ftn.BoolLit:
-		return interp.BoolVal(e.Value), true
-	case *ftn.Ident:
-		if v, ok := b.foldConst[e.Name]; ok {
-			return v, true
-		}
-		if b.mpiSetup[e.Name] {
-			return interp.IntVal(b.c.syms[e.Name].mpi), true
-		}
-	case *ftn.Unary:
-		v, ok := b.foldSetup(e.X)
-		if !ok {
-			return interp.Value{}, false
-		}
-		return foldUnary(e.Op, v)
-	case *ftn.Binary:
-		xv, ok := b.foldSetup(e.X)
-		if !ok {
-			return interp.Value{}, false
-		}
-		if e.Op == ".and." || e.Op == ".or." {
-			if xv.Kind != interp.KBool {
-				return interp.Value{}, false
-			}
-			if (e.Op == ".and." && !xv.B) || (e.Op == ".or." && xv.B) {
-				return interp.BoolVal(xv.B), true
-			}
-			yv, ok := b.foldSetup(e.Y)
-			if !ok || yv.Kind != interp.KBool {
-				return interp.Value{}, false
-			}
-			return yv, true
-		}
-		yv, ok := b.foldSetup(e.Y)
-		if !ok {
-			return interp.Value{}, false
-		}
-		return foldBinary(e.Op, xv, yv)
-	}
-	return interp.Value{}, false
-}
-
-// fold folds a body expression, counting the Op charges the walker would
-// make evaluating it (folded subtrees still charge — only the evaluation
-// work disappears, never the accounting).
+// fold folds an expression, counting the Op charges the walker would make
+// evaluating it (folded subtrees still charge — only the evaluation work
+// disappears, never the accounting). In setup, only constants whose
+// initializer already ran are visible.
 func (b *bc) fold(e ftn.Expr) (interp.Value, int64, bool) {
 	switch e := e.(type) {
 	case *ftn.IntLit:
@@ -410,7 +435,7 @@ func (b *bc) fold(e ftn.Expr) (interp.Value, int64, bool) {
 		if v, ok := b.foldConst[e.Name]; ok {
 			return v, 0, true
 		}
-		if b.mpiName[e.Name] {
+		if (b.setup && b.mpiSetup[e.Name]) || (!b.setup && b.mpiName[e.Name]) {
 			return interp.IntVal(b.c.syms[e.Name].mpi), 0, true
 		}
 	case *ftn.Unary:
@@ -508,12 +533,8 @@ func (b *bc) emit(op bop, args ...int32) int32 {
 }
 
 func (b *bc) newReg() int32 {
-	r := b.nreg
-	b.nreg++
-	if int(b.nreg) > len(b.bp.regInit) {
-		b.bp.regInit = append(b.bp.regInit, interp.Value{})
-	}
-	return r
+	b.bp.regInit = append(b.bp.regInit, interp.Value{})
+	return int32(len(b.bp.regInit) - 1)
 }
 
 // constReg interns a folded value as an initialized register.
@@ -536,11 +557,11 @@ func (b *bc) flush() {
 	}
 	vec := b.pending
 	b.pending = [5]int64{}
-	idx, ok := b.vecMap[vec]
+	idx, ok := b.l.vecMap[vec]
 	if !ok {
-		idx = int32(len(b.bp.vecs))
-		b.bp.vecs = append(b.bp.vecs, vec)
-		b.vecMap[vec] = idx
+		idx = int32(len(b.l.vecs))
+		b.l.vecs = append(b.l.vecs, vec)
+		b.l.vecMap[vec] = idx
 	}
 	b.emit(bCharge, idx)
 }
@@ -554,19 +575,31 @@ func (b *bc) errIdx(err error) int32 {
 	return int32(len(b.bp.errs) - 1)
 }
 
-func (b *bc) evalIdx(fn exprFn) int32 {
-	b.bp.evals = append(b.bp.evals, fn)
-	return int32(len(b.bp.evals) - 1)
-}
-
-func (b *bc) stmtIdx(fn stmtFn) int32 {
-	b.bp.stmts = append(b.bp.stmts, fn)
-	return int32(len(b.bp.stmts) - 1)
+// fail lowers an unconditional positioned runtime error.
+func (b *bc) fail(pos ftn.Pos, format string, args ...interface{}) {
+	b.flush()
+	b.emit(bErr, b.errIdx(rte(pos, format, args...)))
 }
 
 func (b *bc) opIdx(d opDesc) int32 {
 	b.bp.ops = append(b.bp.ops, d)
 	return int32(len(b.bp.ops) - 1)
+}
+
+func (b *bc) refIdx(d refDesc) int32 {
+	b.bp.refs = append(b.bp.refs, d)
+	return int32(len(b.bp.refs) - 1)
+}
+
+func (b *bc) mpiIdx(d mpiDesc) int32 {
+	b.bp.mpis = append(b.bp.mpis, d)
+	return int32(len(b.bp.mpis) - 1)
+}
+
+// nameIdx interns a checked scalar-name site.
+func (b *bc) nameIdx(name string, pos ftn.Pos) int32 {
+	b.bp.names = append(b.bp.names, nameDesc{sym: b.c.sym(name), pos: pos})
+	return int32(len(b.bp.names) - 1)
 }
 
 // patch sets the a-operand (jump target) of instruction pc.
@@ -575,35 +608,37 @@ func (b *bc) patch(pc, target int32) { b.bp.code[pc].a = target }
 // loadFast reports whether name's reads can address the cell directly.
 func (b *bc) loadFast(name string) bool {
 	s := b.c.syms[name]
-	return s != nil && b.cellSet[name] && s.cslot < 0
+	return !b.setup && s != nil && b.cellSet[name] && s.cslot < 0
 }
 
 // storeFast reports whether name's writes can address the cell directly.
-func (b *bc) storeFast(name string) bool { return b.cellSet[name] }
+func (b *bc) storeFast(name string) bool { return !b.setup && b.cellSet[name] }
 
-// stmtFallback lowers a statement through the closure tier. Inside a
-// lowered loop, EXIT/CYCLE sentinels escaping the closure re-enter the
-// bytecode loop via patched jump targets — exactly the walker's innermost
-// runStmts handling.
-func (b *bc) stmtFallback(s ftn.Stmt) {
-	fn := b.c.stmt(s)
-	if fn == nil {
-		return
+// lowerFold lowers e, also reporting its compile-time value when it folds.
+func (b *bc) lowerFold(e ftn.Expr) (rv, interp.Value, bool) {
+	if v, ops, ok := b.fold(e); ok {
+		b.pending[kOp] += ops
+		return rv{reg: b.constReg(v), k: v.Kind}, v, true
 	}
-	b.flush()
-	pc := b.emit(bStmt, b.stmtIdx(fn), -1, -1)
-	if n := len(b.loops); n > 0 {
-		lf := b.loops[n-1]
-		lf.stmtPatches = append(lf.stmtPatches, pc)
-	}
+	return b.expr(e), interp.Value{}, false
 }
 
-// evalFallback lowers an expression through the closure tier.
-func (b *bc) evalFallback(e ftn.Expr) rv {
+// array resolves name to its array slot for an access that requires an
+// array: statically when setup guarantees one, else behind a bArrChk
+// raising the walker's error (format takes the name). ok is false when
+// the name can never hold an array, after lowering the error.
+func (b *bc) array(name string, pos ftn.Pos, format string) (int32, bool) {
+	if g := b.arrInfo[name]; g != nil && !b.setup {
+		return g.aslot, true
+	}
+	s := b.c.syms[name]
+	if s == nil || s.aslot < 0 {
+		b.fail(pos, format, name)
+		return 0, false
+	}
 	b.flush()
-	dst := b.newReg()
-	b.emit(bEval, dst, b.evalIdx(b.c.expr(e)))
-	return rv{reg: dst, k: kUnknown}
+	b.emit(bArrChk, int32(s.aslot), b.errIdx(rte(pos, format, name)))
+	return int32(s.aslot), true
 }
 
 // --- statement lowering ---
@@ -612,11 +647,20 @@ func (b *bc) stmt(s ftn.Stmt) {
 	switch s := s.(type) {
 	case *ftn.CommentStmt, *ftn.ContinueStmt:
 	case *ftn.AssignStmt:
-		b.assign(s)
+		b.store(s.LHS, b.expr(s.RHS).reg)
 	case *ftn.DoStmt:
 		b.doStmt(s)
 	case *ftn.IfStmt:
 		b.ifStmt(s)
+	case *ftn.CallStmt:
+		b.call(s)
+	case *ftn.PrintStmt:
+		regs := make([]int32, len(s.Args))
+		for i, a := range s.Args {
+			regs[i] = b.expr(a).reg
+		}
+		b.bp.prints = append(b.bp.prints, regs)
+		b.emit(bPrint, int32(len(b.bp.prints)-1))
 	case *ftn.ReturnStmt:
 		b.flush()
 		b.emit(bRet)
@@ -640,46 +684,248 @@ func (b *bc) stmt(s ftn.Stmt) {
 			b.emit(bCycleS)
 		}
 	default:
-		// MPI calls, user calls, prints, and anything unmodeled: the
-		// closure tier's pre-resolved bindings.
-		b.stmtFallback(s)
+		b.fail(s.Pos(), "unsupported statement %T", s)
 	}
 }
 
-func (b *bc) assign(s *ftn.AssignStmt) {
-	switch lhs := s.LHS.(type) {
+// store lowers a write of register v to an assignable designator (the
+// walker's m.store): scalar stores charge Assign and coerce to the cell's
+// kind; array-element stores resolve the array first, then subscripts,
+// then charge Store.
+func (b *bc) store(lhs ftn.Expr, v int32) {
+	switch lhs := lhs.(type) {
 	case *ftn.Ident:
-		if !b.storeFast(lhs.Name) {
-			b.stmtFallback(s)
-			return
-		}
-		v := b.expr(s.RHS)
-		b.pending[kAssign]++
-		b.emit(bStoreS, int32(b.c.syms[lhs.Name].sslot), v.reg)
-	case *ftn.Ref:
-		g := b.arrInfo[lhs.Name]
-		if g == nil {
-			b.stmtFallback(s)
-			return
-		}
-		v := b.expr(s.RHS)
-		subs := b.lowerSubs(lhs.Args)
-		b.pending[kStore]++
-		if gi, ok := b.geoAccess(g, lhs.Args, subs); ok {
-			b.emit(bStoreU, gi, v.reg)
+		if b.storeFast(lhs.Name) {
+			b.pending[kAssign]++
+			b.emit(bStoreS, int32(b.c.syms[lhs.Name].sslot), v)
 			return
 		}
 		b.flush()
-		ai := b.accIdx(accDesc{aslot: g.aslot, subs: subs, pos: lhs.Pos()})
-		b.emit(bStoreA, ai, v.reg)
+		b.emit(bStoreN, b.nameIdx(lhs.Name, lhs.Pos()), v)
+	case *ftn.Ref:
+		aslot, ok := b.array(lhs.Name, lhs.Pos(), "assignment to %s, which is not an array")
+		if !ok {
+			return
+		}
+		subs := b.lowerSubs(lhs.Args)
+		b.pending[kStore]++
+		if g := b.arrInfo[lhs.Name]; g != nil {
+			if gi, ok := b.geoAccess(g, lhs.Args, subs); ok {
+				b.emit(bStoreU, gi, v)
+				return
+			}
+		}
+		b.flush()
+		b.emit(bStoreA, b.refIdx(refDesc{aslot: aslot, args: subs, pos: lhs.Pos()}), v)
 	default:
-		b.stmtFallback(s)
+		b.fail(lhs.Pos(), "bad assignment target %T", lhs)
 	}
 }
 
-func (b *bc) accIdx(d accDesc) int32 {
-	b.bp.accs = append(b.bp.accs, d)
-	return int32(len(b.bp.accs) - 1)
+// call lowers a CALL: the MPI bindings (mpibind's semantics, operands
+// evaluated and checked in the walker's order), else a user subroutine.
+func (b *bc) call(s *ftn.CallStmt) {
+	args := s.Args
+	zero := b.constReg(interp.IntVal(0))
+	switch s.Name {
+	case "mpi_init", "mpi_finalize":
+		if len(args) == 1 {
+			b.store(args[0], zero)
+		}
+	case "mpi_comm_rank", "mpi_comm_size":
+		if !b.arity(s, 3) {
+			return
+		}
+		dst := b.newReg()
+		var size int32
+		if s.Name == "mpi_comm_size" {
+			size = 1
+		}
+		b.emit(bRankInfo, dst, size)
+		b.store(args[1], dst)
+		b.store(args[2], zero)
+	case "mpi_barrier":
+		b.flush()
+		b.emit(bBarrier)
+		if len(args) == 2 {
+			b.store(args[1], zero)
+		}
+	case "mpi_isend", "mpi_irecv":
+		if !b.arity(s, 8) {
+			return
+		}
+		d, ok := b.p2p(args)
+		if !ok {
+			return
+		}
+		op := bIsend
+		if s.Name == "mpi_irecv" {
+			op = bIrecv
+		}
+		b.flush()
+		dst := b.newReg()
+		b.emit(op, dst, b.mpiIdx(d))
+		b.store(args[6], dst)
+		b.store(args[7], zero)
+	case "mpi_send", "mpi_recv":
+		want, op := 7, bSend
+		if s.Name == "mpi_recv" {
+			want, op = 8, bRecv
+		}
+		if !b.arity(s, want) {
+			return
+		}
+		d, ok := b.p2p(args)
+		if !ok {
+			return
+		}
+		b.flush()
+		b.emit(op, b.mpiIdx(d))
+		b.store(args[want-1], zero)
+	case "mpi_wait":
+		if !b.arity(s, 3) {
+			return
+		}
+		h := b.expr(args[0])
+		b.flush()
+		b.emit(bWait, h.reg, b.mpiIdx(mpiDesc{pos: s.Pos()}))
+		b.store(args[0], zero) // invalidate the handle
+		b.store(args[2], zero)
+	case "mpi_waitall":
+		if !b.arity(s, 4) {
+			return
+		}
+		d := mpiDesc{count: b.expr(args[0]).reg, pos: s.Pos()}
+		var ok bool
+		if d.buf, d.off, ok = b.buffer(args[1]); !ok {
+			return
+		}
+		b.flush()
+		b.emit(bWaitall, b.mpiIdx(d))
+		b.store(args[3], zero)
+	case "mpi_alltoall":
+		if !b.arity(s, 8) {
+			return
+		}
+		d := mpiDesc{pos: s.Pos()}
+		var ok bool
+		if d.buf, d.off, ok = b.buffer(args[0]); !ok {
+			return
+		}
+		d.count, d.elem = b.countType(args[1], args[2])
+		if d.rbuf, d.roff, ok = b.buffer(args[3]); !ok {
+			return
+		}
+		d.rcount, _ = b.countType(args[4], args[5])
+		b.flush()
+		b.emit(bAlltoall, b.mpiIdx(d))
+		b.store(args[7], zero)
+	case "flush":
+		// test helper: a no-op sink
+	default:
+		b.userCall(s)
+	}
+}
+
+// arity lowers the walker's argument-count error; false means it fired.
+func (b *bc) arity(s *ftn.CallStmt, want int) bool {
+	if len(s.Args) == want {
+		return true
+	}
+	b.fail(s.Pos(), "%s needs %d arguments", s.Name, want)
+	return false
+}
+
+// p2p lowers the (buf, count, dtype, peer, tag) operands of a
+// point-to-point call.
+func (b *bc) p2p(args []ftn.Expr) (mpiDesc, bool) {
+	var d mpiDesc
+	var ok bool
+	if d.buf, d.off, ok = b.buffer(args[0]); !ok {
+		return d, false
+	}
+	d.count, d.elem = b.countType(args[1], args[2])
+	d.peer = b.expr(args[3]).reg
+	d.tag = b.expr(args[4]).reg
+	return d, true
+}
+
+// buffer lowers an MPI buffer argument (bufferArg) to its array slot and a
+// register holding the element offset.
+func (b *bc) buffer(e ftn.Expr) (aslot, off int32, ok bool) {
+	const notArray = "MPI buffer %s is not an array"
+	switch e := e.(type) {
+	case *ftn.Ident:
+		aslot, ok = b.array(e.Name, e.Pos(), notArray)
+		return aslot, b.constReg(interp.IntVal(0)), ok
+	case *ftn.Ref:
+		if aslot, ok = b.array(e.Name, e.Pos(), notArray); !ok {
+			return 0, 0, false
+		}
+		subs := b.lowerSubs(e.Args)
+		b.flush()
+		off = b.newReg()
+		b.emit(bLinear, off, b.refIdx(refDesc{aslot: aslot, args: subs, pos: e.Pos()}))
+		return aslot, off, true
+	}
+	b.fail(e.Pos(), "bad MPI buffer argument")
+	return 0, 0, false
+}
+
+// countType lowers a (count, datatype) pair and its checks, returning the
+// count register and one holding the element byte size.
+func (b *bc) countType(countE, typeE ftn.Expr) (count, elem int32) {
+	count = b.expr(countE).reg
+	typ := b.expr(typeE).reg
+	b.flush()
+	elem = b.newReg()
+	b.emit(bCType, elem, count, typ, b.mpiIdx(mpiDesc{pos: typeE.Pos(), countPos: countE.Pos()}))
+	return count, elem
+}
+
+// userCall lowers a call to a user subroutine with Fortran reference
+// semantics (callUser): open the callee frame, bind each actual in order,
+// run the callee's prologue and body on the fresh frame.
+func (b *bc) userCall(s *ftn.CallStmt) {
+	callee := b.l.subs[s.Name]
+	if callee == nil {
+		b.fail(s.Pos(), "unknown subroutine %s", s.Name)
+		return
+	}
+	if len(s.Args) != len(callee.params) {
+		b.fail(s.Pos(), "call to %s with %d args, wants %d", s.Name, len(s.Args), len(callee.params))
+		return
+	}
+	b.bp.callees = append(b.bp.callees, callee.bc)
+	ci := int32(len(b.bp.callees) - 1)
+	b.flush()
+	b.emit(bCallNew, ci)
+	for i, a := range s.Args {
+		d := argDesc{name: -1, ref: -1, val: -1,
+			scal: int32(callee.paramScal[i]), arr: int32(callee.paramArr[i]), dummy: callee.params[i]}
+		switch a := a.(type) {
+		case *ftn.Ident:
+			d.name = b.nameIdx(a.Name, a.Pos())
+		case *ftn.Ref:
+			if sy := b.c.syms[a.Name]; sy != nil && sy.aslot >= 0 {
+				d.ref = b.refIdx(refDesc{aslot: int32(sy.aslot), name: a.Name, args: b.lowerSubs(a.Args), pos: a.Pos()})
+			} else {
+				d.val = b.expr(a).reg
+			}
+		default:
+			d.val = b.expr(a).reg
+		}
+		b.flush()
+		b.bp.args = append(b.bp.args, d)
+		b.emit(bArg, int32(len(b.bp.args)-1))
+	}
+	pc := b.emit(bCall, ci, -1, -1)
+	if n := len(b.loops); n > 0 {
+		// EXIT/CYCLE escaping the callee act on this loop, exactly like
+		// the walker's innermost execStmts.
+		lf := b.loops[n-1]
+		lf.callPatches = append(lf.callPatches, pc)
+	}
 }
 
 // geoAccess builds an unchecked access when every subscript is affine in
@@ -775,28 +1021,10 @@ func (b *bc) ifStmt(s *ftn.IfStmt) {
 }
 
 func (b *bc) doStmt(s *ftn.DoStmt) {
-	if !b.storeFast(s.Var) {
-		b.stmtFallback(s)
-		return
-	}
-	sv := b.c.syms[s.Var]
-
 	// Bounds and step evaluate once, before the loop; fold-aware.
-	loV, loOps, loConst := b.fold(s.Lo)
-	hiV, hiOps, hiConst := b.fold(s.Hi)
-	var lo, hi rv
-	if loConst {
-		b.pending[kOp] += loOps
-		lo = rv{reg: b.constReg(loV), k: loV.Kind}
-	} else {
-		lo = b.expr(s.Lo)
-	}
-	if hiConst {
-		b.pending[kOp] += hiOps
-		hi = rv{reg: b.constReg(hiV), k: hiV.Kind}
-	} else {
-		hi = b.expr(s.Hi)
-	}
+	lo, loV, loConst := b.lowerFold(s.Lo)
+	hi, hiV, hiConst := b.lowerFold(s.Hi)
+	sv := b.c.sym(s.Var)
 	fd := forDesc{
 		loReg: lo.reg, hiReg: hi.reg, stepReg: -1,
 		sslot: int32(sv.sslot),
@@ -806,28 +1034,27 @@ func (b *bc) doStmt(s *ftn.DoStmt) {
 	stepConst := true
 	stepV := interp.IntVal(1)
 	if s.Step != nil {
-		var stepOps int64
-		stepV, stepOps, stepConst = b.fold(s.Step)
-		if stepConst {
-			b.pending[kOp] += stepOps
-			fd.stepReg = b.constReg(stepV)
-		} else {
-			fd.stepReg = b.expr(s.Step).reg
-		}
+		var step rv
+		step, stepV, stepConst = b.lowerFold(s.Step)
+		fd.stepReg = step.reg
 	}
 	fdIdx := int32(len(b.bp.fors))
 	b.bp.fors = append(b.bp.fors, fd)
 	b.flush()
 	b.emit(bForPrep, fdIdx)
+	if !b.storeFast(s.Var) {
+		// The walker resolves the variable's cell after the bounds.
+		b.emit(bCellN, b.nameIdx(s.Var, s.Pos()))
+		if sv.sslot < 0 {
+			return // the check always fails: there is no cell to iterate
+		}
+	}
 	head := b.here()
 	b.emit(bForIter, fdIdx)
 
 	// Register a value-range fact when the trip space is fully static and
 	// the body never stores the variable.
-	factSaved, hadFact := b.facts[s.Var], false
-	if old, ok := b.facts[s.Var]; ok {
-		factSaved, hadFact = old, true
-	}
+	old, hadFact := b.facts[s.Var]
 	registered := false
 	if loConst && hiConst && stepConst {
 		loI, hiI := loV.AsInt(), hiV.AsInt()
@@ -866,13 +1093,13 @@ func (b *bc) doStmt(s *ftn.DoStmt) {
 	for _, pc := range lf.contPatches {
 		b.patch(pc, contPC)
 	}
-	for _, pc := range lf.stmtPatches {
+	for _, pc := range lf.callPatches {
 		b.bp.code[pc].b = contPC
 		b.bp.code[pc].c = endPC
 	}
 	if registered {
 		if hadFact {
-			b.facts[s.Var] = factSaved
+			b.facts[s.Var] = old
 		} else {
 			delete(b.facts, s.Var)
 		}
@@ -896,19 +1123,22 @@ func (b *bc) expr(e ftn.Expr) rv {
 	case *ftn.Ref:
 		return b.ref(e)
 	}
-	// Literals always fold; anything else unmodeled goes to the closure.
-	return b.evalFallback(e)
+	// Literals always fold; anything else is unmodeled.
+	b.fail(e.Pos(), "unsupported expression %T", e)
+	return rv{reg: b.newReg(), k: kUnknown}
 }
 
 func (b *bc) identLoad(e *ftn.Ident) rv {
+	dst := b.newReg()
 	if b.loadFast(e.Name) {
-		dst := b.newReg()
 		b.emit(bLoadS, dst, int32(b.c.syms[e.Name].sslot))
 		return rv{reg: dst, k: b.scalK[e.Name]}
 	}
+	if b.setup {
+		b.setupReads[e.Name] = true
+	}
 	b.flush()
-	dst := b.newReg()
-	b.emit(bEval, dst, b.evalIdx(b.c.identRead(e)))
+	b.emit(bLoadN, dst, b.nameIdx(e.Name, e.Pos()))
 	return rv{reg: dst, k: kUnknown}
 }
 
@@ -1084,28 +1314,30 @@ func (b *bc) compare(e *ftn.Binary) rv {
 	return rv{reg: dst, k: interp.KBool}
 }
 
-// ref lowers name(args): a native array access when the array is provably
-// non-nil, the intrinsic path when the name can never be an array, and the
-// closure tier for the runtime-dispatched remainder (dummy arrays).
+// ref lowers name(args): a native array access when setup guarantees the
+// array, the intrinsic path when the name can never be an array, and a
+// run-time choice between the two (bLoadD) otherwise — dummies bound
+// without a declaration, and every reference during setup.
 func (b *bc) ref(e *ftn.Ref) rv {
 	s := b.c.syms[e.Name]
 	if s == nil || s.aslot < 0 {
 		return b.intrinsic(e)
 	}
-	g := b.arrInfo[e.Name]
-	if g == nil {
-		return b.evalFallback(e)
-	}
 	subs := b.lowerSubs(e.Args)
-	b.pending[kLoad]++
 	dst := b.newReg()
+	g := b.arrInfo[e.Name]
+	if g == nil || b.setup {
+		b.flush()
+		b.emit(bLoadD, dst, b.refIdx(refDesc{aslot: int32(s.aslot), name: e.Name, args: subs, pos: e.Pos()}))
+		return rv{reg: dst, k: kUnknown}
+	}
+	b.pending[kLoad]++
 	if gi, ok := b.geoAccess(g, e.Args, subs); ok {
 		b.emit(bLoadU, dst, gi)
 		return rv{reg: dst, k: g.kind}
 	}
 	b.flush()
-	ai := b.accIdx(accDesc{aslot: g.aslot, subs: subs, pos: e.Pos()})
-	b.emit(bLoadA, dst, ai)
+	b.emit(bLoadA, dst, b.refIdx(refDesc{aslot: g.aslot, args: subs, pos: e.Pos()}))
 	return rv{reg: dst, k: g.kind}
 }
 
@@ -1125,7 +1357,7 @@ func (b *bc) intrinsic(e *ftn.Ref) rv {
 			b.emit(bModI, dst, a0.reg, a1.reg, b.errIdx(rte(pos, "mod by zero")))
 			return rv{reg: dst, k: interp.KInt}
 		}
-		ii := b.intrIdx(intrDesc{name: "mod", args: []int32{a0.reg, a1.reg}, pos: pos, err: rte(pos, "mod by zero")})
+		ii := b.refIdx(refDesc{aslot: -1, name: "mod", args: []int32{a0.reg, a1.reg}, pos: pos, err: rte(pos, "mod by zero")})
 		b.emit(bMod2, dst, ii)
 		return rv{reg: dst, k: kUnknown}
 	}
@@ -1145,7 +1377,7 @@ func (b *bc) intrinsic(e *ftn.Ref) rv {
 		b.pending[kOp]++
 		dst := b.newReg()
 		b.flush()
-		b.emit(bIntr, dst, b.intrIdx(intrDesc{name: name, args: []int32{a0.reg, a1.reg}, pos: pos}))
+		b.emit(bIntr, dst, b.refIdx(refDesc{aslot: -1, name: name, args: []int32{a0.reg, a1.reg}, pos: pos}))
 		return rv{reg: dst, k: kUnknown}
 	}
 
@@ -1162,15 +1394,10 @@ func (b *bc) intrinsic(e *ftn.Ref) rv {
 		return rv{reg: dst, k: interp.KReal}
 	case isIntr:
 		b.flush()
-		b.emit(bIntr, dst, b.intrIdx(intrDesc{name: name, args: args, pos: pos}))
+		b.emit(bIntr, dst, b.refIdx(refDesc{aslot: -1, name: name, args: args, pos: pos}))
 		return rv{reg: dst, k: kUnknown}
 	}
 	b.flush()
 	b.emit(bErr, b.errIdx(rte(pos, "unknown array or intrinsic %q", name)))
 	return rv{reg: dst, k: kUnknown}
-}
-
-func (b *bc) intrIdx(d intrDesc) int32 {
-	b.bp.intrs = append(b.bp.intrs, d)
-	return int32(len(b.bp.intrs) - 1)
 }

@@ -21,9 +21,9 @@ type sym struct {
 	zero  interp.Value // implicit-typing zero for on-demand creation
 }
 
-// comp compiles one unit.
+// comp is one unit's compile-time symbol table: the slot scan the
+// bytecode lowering resolves names against.
 type comp struct {
-	prog         *Program
 	u            *ftn.Unit
 	implicitNone bool
 	syms         map[string]*sym
@@ -32,12 +32,12 @@ type comp struct {
 	nconst       int
 }
 
-// compileUnit lowers one program unit. It never fails: statements the
-// engine cannot lower (and names that are illegal under implicit none)
-// compile to closures returning the same runtime errors the tree-walker
-// raises, so a program only faults if the faulty statement executes.
-func compileUnit(prog *Program, u *ftn.Unit) *unit {
-	c := &comp{prog: prog, u: u, implicitNone: u.ImplicitNone, syms: map[string]*sym{}}
+// compileUnit assigns one program unit's slots. It never fails: names the
+// lowering cannot resolve statically (and names that are illegal under
+// implicit none) lower to checked instructions that raise the tree-walker's
+// runtime errors, so a program only faults if the faulty statement runs.
+func compileUnit(u *ftn.Unit) *unit {
+	c := &comp{u: u, implicitNone: u.ImplicitNone, syms: map[string]*sym{}}
 
 	// Pass A: declared names claim their slots first.
 	for _, d := range u.Decls {
@@ -74,66 +74,12 @@ func compileUnit(prog *Program, u *ftn.Unit) *unit {
 		c.scanStmt(st)
 	}
 
-	cu := &unit{
-		name:   u.Name,
-		params: append([]string(nil), u.Params...),
-	}
-	isParam := map[string]bool{}
+	cu := &unit{name: u.Name, params: append([]string(nil), u.Params...)}
 	for _, p := range u.Params {
 		s := c.syms[p]
 		cu.paramScal = append(cu.paramScal, s.sslot)
 		cu.paramArr = append(cu.paramArr, s.aslot)
-		isParam[p] = true
 	}
-
-	// Frame setup, in the tree-walker's order: named constants first (they
-	// may reference each other in declaration order), then variables and
-	// arrays declaration by declaration.
-	for _, d := range u.Decls {
-		if !d.Parameter {
-			continue
-		}
-		for _, e := range d.Entities {
-			if e.Init == nil {
-				continue
-			}
-			s := c.syms[e.Name]
-			init := c.expr(e.Init)
-			base := d.Type.Base
-			cslot := s.cslot
-			cu.setup = append(cu.setup, func(x *rctx, fr *frame) error {
-				v, err := init(x, fr)
-				if err != nil {
-					return err
-				}
-				fr.consts[cslot] = interp.CoerceDecl(base, v)
-				fr.constSet[cslot] = true
-				return nil
-			})
-		}
-	}
-	for _, d := range u.Decls {
-		if d.Parameter {
-			continue
-		}
-		kind := interp.KindOf(d.Type.Base)
-		for _, e := range d.Entities {
-			s := c.syms[e.Name]
-			dims := d.DimsOf(e)
-			if len(dims) == 0 {
-				cu.setup = append(cu.setup, c.scalarDeclStep(s, d.Type.Base, kind, e.Init))
-				continue
-			}
-			cu.setup = append(cu.setup, c.arrayDeclStep(s, kind, dims, d.Pos(), isParam[e.Name]))
-		}
-	}
-
-	for _, st := range u.Body {
-		if fn := c.stmt(st); fn != nil {
-			cu.body = append(cu.body, fn)
-		}
-	}
-
 	cu.nscal, cu.narr, cu.nconst = c.nscal, c.narr, c.nconst
 	cu.arrNames = make([]string, c.narr)
 	for _, s := range c.order {
@@ -143,92 +89,6 @@ func compileUnit(prog *Program, u *ftn.Unit) *unit {
 	}
 	cu.cm = c
 	return cu
-}
-
-// scalarDeclStep compiles pass-2 handling of a declared scalar: keep an
-// existing binding (dummy), else allocate (and evaluate the initializer).
-func (c *comp) scalarDeclStep(s *sym, base ftn.BaseType, kind interp.Kind, init ftn.Expr) stmtFn {
-	var initFn exprFn
-	if init != nil {
-		initFn = c.expr(init)
-	}
-	sslot := s.sslot
-	return func(x *rctx, fr *frame) error {
-		if fr.scal[sslot] != nil {
-			return nil
-		}
-		v := interp.ZeroOf(kind)
-		if initFn != nil {
-			iv, err := initFn(x, fr)
-			if err != nil {
-				return err
-			}
-			v = interp.CoerceDecl(base, iv)
-		}
-		fr.scal[sslot] = &v
-		return nil
-	}
-}
-
-// arrayDeclStep compiles pass-2 handling of a declared array: evaluate the
-// bounds in this frame, then view the caller's backing (dummy) or allocate.
-// Only a dummy's slot can hold caller backing — for any other name a
-// pre-filled slot means an earlier declaration of the same name, which a
-// fresh allocation replaces (the tree-walker's map overwrite).
-func (c *comp) arrayDeclStep(s *sym, kind interp.Kind, dims []ftn.Dim, pos ftn.Pos, isDummy bool) stmtFn {
-	type dimFns struct {
-		lo, hi  exprFn
-		assumed bool
-	}
-	fns := make([]dimFns, len(dims))
-	for i, d := range dims {
-		if d.Lo != nil {
-			fns[i].lo = c.expr(d.Lo)
-		}
-		if d.Hi == nil {
-			fns[i].assumed = true
-		} else {
-			fns[i].hi = c.expr(d.Hi)
-		}
-	}
-	name := s.name
-	aslot := s.aslot
-	return func(x *rctx, fr *frame) error {
-		bounds := make([]interp.DimBound, len(fns))
-		for i, f := range fns {
-			lo := int64(1)
-			if f.lo != nil {
-				v, err := f.lo(x, fr)
-				if err != nil {
-					return err
-				}
-				lo = v.AsInt()
-			}
-			if f.assumed {
-				bounds[i] = interp.DimBound{Lo: lo, Assumed: true}
-				continue
-			}
-			hv, err := f.hi(x, fr)
-			if err != nil {
-				return err
-			}
-			bounds[i] = interp.DimBound{Lo: lo, Hi: hv.AsInt()}
-		}
-		if backing := fr.arr[aslot]; isDummy && backing != nil {
-			view, err := interp.View(name, backing, 0, bounds)
-			if err != nil {
-				return rte(pos, "%v", err)
-			}
-			fr.arr[aslot] = view
-			return nil
-		}
-		a, err := interp.NewArray(name, kind, bounds)
-		if err != nil {
-			return rte(pos, "%v", err)
-		}
-		fr.arr[aslot] = a
-		return nil
-	}
 }
 
 // sym finds or creates the symbol for name.
@@ -268,7 +128,7 @@ func implicitZero(name string) interp.Value {
 	return interp.RealVal(0)
 }
 
-// --- name scanning: give every Ident a slot before compiling closures ---
+// --- name scanning: give every Ident a slot before lowering ---
 
 func (c *comp) scanDecls() {
 	for _, d := range c.u.Decls {
@@ -342,7 +202,7 @@ func (c *comp) scanExpr(e ftn.Expr) {
 }
 
 // touchScalar ensures a scalar slot exists for a name used in scalar
-// position, unless implicit none forbids creating it (uses then compile to
+// position, unless implicit none forbids creating it (uses then lower to
 // the tree-walker's runtime errors). Named constants get one too: a
 // forward reference during frame setup reads the name before its
 // initializer runs, where the tree-walker falls back to an implicit
@@ -350,97 +210,7 @@ func (c *comp) scanExpr(e ftn.Expr) {
 func (c *comp) touchScalar(name string) {
 	s := c.sym(name)
 	if c.implicitNone && s.cslot < 0 && s.sslot < 0 && s.aslot < 0 {
-		return // undeclared under implicit none: error closures, no slot
+		return // undeclared under implicit none: checked errors, no slot
 	}
 	c.scalSlot(s)
-}
-
-// --- scalar access closures (evalIdent / lookupScalar semantics) ---
-
-// identRead compiles reading name as a scalar expression, following the
-// tree-walker's resolution order: named constants, scalars, MPI constants,
-// whole-array error, implicit-none error, implicit creation.
-func (c *comp) identRead(e *ftn.Ident) exprFn {
-	s := c.sym(e.Name)
-	pos := e.Pos()
-	cslot, sslot, aslot := s.cslot, s.sslot, s.aslot
-	isMPI, mpiVal, zero := s.isMPI, s.mpi, s.zero
-	implicitNone := c.implicitNone
-	name := s.name
-	return func(x *rctx, fr *frame) (interp.Value, error) {
-		if cslot >= 0 && fr.constSet[cslot] {
-			// A constant is visible only once its initializer ran; an
-			// unset slot (a forward reference during frame setup) falls
-			// through to the tree-walker's implicit-typing path.
-			return fr.consts[cslot], nil
-		}
-		if sslot >= 0 {
-			if p := fr.scal[sslot]; p != nil {
-				return *p, nil
-			}
-		}
-		if isMPI {
-			return interp.IntVal(mpiVal), nil
-		}
-		if aslot >= 0 {
-			if fr.arr[aslot] != nil {
-				return interp.Value{}, rte(pos, "whole-array reference %s in scalar context", name)
-			}
-		}
-		if implicitNone {
-			return interp.Value{}, rte(pos, "undeclared name %s", name)
-		}
-		p := new(interp.Value)
-		*p = zero
-		fr.scal[sslot] = p
-		return *p, nil
-	}
-}
-
-// scalarPtr compiles lookupScalar: find or create the scalar cell for a
-// store (or a by-reference argument binding).
-func (c *comp) scalarPtr(name string, pos ftn.Pos) func(x *rctx, fr *frame) (*interp.Value, error) {
-	s := c.sym(name)
-	sslot, cslot := s.sslot, s.cslot
-	zero := s.zero
-	implicitNone := c.implicitNone
-	return func(x *rctx, fr *frame) (*interp.Value, error) {
-		if sslot >= 0 {
-			if p := fr.scal[sslot]; p != nil {
-				return p, nil
-			}
-		}
-		if cslot >= 0 {
-			return nil, rte(pos, "cannot assign to named constant %s", name)
-		}
-		if implicitNone {
-			return nil, rte(pos, "undeclared variable %s under implicit none", name)
-		}
-		if sslot < 0 {
-			// Unreachable in practice (scanning allocated a slot for every
-			// scalar use outside implicit none), kept as a hard error.
-			return nil, rte(pos, "undeclared variable %s", name)
-		}
-		p := new(interp.Value)
-		*p = zero
-		fr.scal[sslot] = p
-		return p, nil
-	}
-}
-
-// arrayOf compiles the fr.arr lookup for a name; the returned func yields
-// nil when the name holds no array in this frame.
-func (c *comp) arrayOf(name string) func(fr *frame) *interp.Array {
-	s := c.sym(name)
-	aslot := s.aslot
-	if aslot < 0 {
-		return func(fr *frame) *interp.Array { return nil }
-	}
-	return func(fr *frame) *interp.Array { return fr.arr[aslot] }
-}
-
-// errStmt compiles to a statement that always fails with the given message.
-func errStmt(pos ftn.Pos, format string, args ...interface{}) stmtFn {
-	err := rte(pos, format, args...)
-	return func(x *rctx, fr *frame) error { return err }
 }

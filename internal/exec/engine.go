@@ -7,21 +7,17 @@ import (
 	"repro/internal/netsim"
 )
 
-// Engine selects how program variants are executed: the bytecode tier
-// (register machine lowered from the closure program), the compiled
-// closure engine (drawing from a variant store), or the tree-walking
+// Engine selects how program variants are executed: the bytecode engine
+// (drawing lowered programs from a variant store) or the tree-walking
 // interpreter, which is retained as the differential oracle.
 type Engine string
 
 const (
-	// EngineBytecode lowers each compiled variant's main unit into a
-	// register-based flat instruction stream (constant folding, batched
-	// cost charges, bounds-check elimination) and dispatches through a
-	// flat switch. The fastest tier, and the default.
+	// EngineBytecode lowers each variant once (shared through the variant
+	// store) into a register-based flat instruction stream (constant
+	// folding, batched cost charges, bounds-check elimination) and
+	// dispatches through a flat switch. The default.
 	EngineBytecode Engine = "bytecode"
-	// EngineCompile compiles each variant once (shared through the
-	// variant store) and replays the closure program. The mid-tier.
-	EngineCompile Engine = "compile"
 	// EngineWalk parses and tree-walks the AST for every run — the
 	// historical path, kept as the bit-identical oracle.
 	EngineWalk Engine = "walk"
@@ -36,32 +32,25 @@ func ParseEngine(name string) (Engine, error) {
 	switch Engine(name) {
 	case "":
 		return Default, nil
-	case EngineBytecode, EngineCompile, EngineWalk:
+	case EngineBytecode, EngineWalk:
 		return Engine(name), nil
 	}
-	return "", fmt.Errorf("exec: unknown engine %q (want %q, %q, or %q)",
-		name, EngineBytecode, EngineCompile, EngineWalk)
+	return "", fmt.Errorf("exec: unknown engine %q (want %q or %q)", name, EngineBytecode, EngineWalk)
 }
-
-// Resolve validates an engine name ("" selects the default).
-//
-// Deprecated: use ParseEngine; Resolve is retained for callers predating
-// the bytecode tier.
-func Resolve(name string) (Engine, error) { return ParseEngine(name) }
 
 // Runner binds an engine to the variant store its compile path draws
 // from — the injectable execution handle a session threads through the
 // pipeline in place of the old process-global cache.
 type Runner struct {
 	Engine Engine
-	// Store backs the compile engine; nil selects the process-default
+	// Store backs the bytecode engine; nil selects the process-default
 	// store. The walk engine never touches it.
 	Store VariantStore
 }
 
 // Run executes src on np simulated ranks under the profile, charging
 // computation against costs. Both engines produce bit-identical results;
-// EngineCompile additionally shares compiled artifacts through the store.
+// EngineBytecode additionally shares compiled artifacts through the store.
 func (r Runner) Run(src string, np int, costs interp.CostModel, prof netsim.Profile) (*interp.Result, error) {
 	if r.Engine == EngineWalk {
 		p, err := interp.Load(src)
@@ -79,10 +68,7 @@ func (r Runner) Run(src string, np int, costs interp.CostModel, prof netsim.Prof
 	if err != nil {
 		return nil, err
 	}
-	if r.Engine == EngineBytecode {
-		return p.RunBytecode(np, prof, costs)
-	}
-	return p.Run(np, prof, costs)
+	return p.RunBytecode(np, prof, costs)
 }
 
 // Run executes through the process-default store — the zero-configuration

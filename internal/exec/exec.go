@@ -1,26 +1,27 @@
-// Package exec is the compiled execution engine: it lowers a parsed ftn
-// program once into a closure program — statements become func(*rctx,
-// *frame) error closures, variable names are resolved to slot indices at
-// compile time, and MPI calls are lowered to pre-resolved bindings against
-// the same mpi runtime (and the same semantics tables) the tree-walking
-// interpreter in internal/interp uses. Executing a compiled program is
-// bit-identical to tree-walking the AST: the same output lines, final
-// arrays, message counts, and virtual times, including every cost-model
-// charge in the same order.
+// Package exec is the compiled execution engine. It lowers every program
+// unit of a parsed ftn program once into a flat register-machine
+// instruction stream (bytecode): frame setup (named constants,
+// declarations, dummy-argument views) as a prologue, then the body. Names
+// resolve to slot indices at compile time, and PRINT, user CALL and the
+// MPI bindings each get dedicated opcodes over the same mpi runtime and
+// interp semantics tables the tree-walking interpreter in internal/interp
+// uses. Executing a lowered program is bit-identical to tree-walking the
+// AST: the same output lines, final arrays, message counts, and virtual
+// times, including every cost-model charge.
 //
 // The point of compiling is the measurement loop: the tuner and the
 // harness run the same (program, plan) variant many times — per machine
 // model, per tuning candidate, per sweep — and the tree-walker re-parses
-// and re-walks the AST for each run. A compiled program is built once per
-// variant (see the VariantStore implementations in store.go), shared safely
-// across concurrent simulations (all mutable state lives in per-run
-// frames; a Program is immutable after compile), and replayed for the
-// price of calling closures.
+// and re-walks the AST for each run. A Program is built once per variant
+// (see the VariantStore implementations in store.go), shared safely across
+// concurrent simulations (all mutable state lives in per-run frames and
+// registers; a Program is immutable once lowered), and replayed through
+// one flat dispatch switch.
 //
 // The tree-walker is retained as the differential oracle: Engine "walk"
-// runs internal/interp, Engine "compile" runs this package, and the
-// harness's differential tests assert the two agree on every golden
-// fixture and corpus scenario.
+// runs internal/interp, Engine "bytecode" runs this package, and the
+// differential tests assert the two agree on every golden fixture and
+// corpus scenario.
 package exec
 
 import (
@@ -38,12 +39,12 @@ import (
 // concurrent simulations.
 type Program struct {
 	main  *unit
-	units map[string]*unit // subroutines by name (first definition wins)
+	units []*unit // every lowered unit: main first, then subroutines
 
-	// bc is the lazily-lowered bytecode form of the main unit (the third
-	// execution tier); bcOnce guards the one lowering per Program.
+	// bcOnce guards the one lowering per Program; vecs are the charge
+	// vectors every lowered unit's bCharge instructions index.
 	bcOnce sync.Once
-	bc     *bprog
+	vecs   [][5]int64
 }
 
 // unit is one compiled program unit.
@@ -60,12 +61,18 @@ type unit struct {
 	nscal, narr, nconst int
 	arrNames            []string // array slot -> name (main-frame snapshots)
 
-	setup []stmtFn // frame initialization: consts, declarations, views
-	body  []stmtFn
+	cm *comp  // compile-time symbol state the lowering resolves against
+	bc *bprog // the lowered form
+}
 
-	// cm retains the unit's compile-time symbol state for the bytecode
-	// lowering (slot assignments, AST, pre-resolved MPI bindings).
-	cm *comp
+// constCell is one named-constant slot. set marks a constant whose
+// initializer has run: a named constant is only visible once setup reaches
+// it (the tree-walker's consts-map membership), so a forward reference
+// during frame setup falls through to implicit typing instead of reading a
+// zero slot.
+type constCell struct {
+	v   interp.Value
+	set bool
 }
 
 // frame is one procedure activation: slot-indexed storage. Scalar slots
@@ -75,38 +82,38 @@ type unit struct {
 type frame struct {
 	scal   []*interp.Value
 	arr    []*interp.Array
-	consts []interp.Value
-	// constSet marks constant slots whose initializer has run: a named
-	// constant is only visible once pass 1 reaches it (the tree-walker's
-	// consts-map membership), so a forward reference during frame setup
-	// falls through to implicit typing instead of reading a zero slot.
-	constSet []bool
+	consts []constCell
+	// bind holds the caller's array bindings by array slot (subroutine
+	// frames only). Like the tree-walker's binding map they are not names
+	// in the frame until a declaration views them or setup ends.
+	bind []*interp.Array
 }
 
 func (u *unit) newFrame() *frame {
-	return &frame{
-		scal:     make([]*interp.Value, u.nscal),
-		arr:      make([]*interp.Array, u.narr),
-		consts:   make([]interp.Value, u.nconst),
-		constSet: make([]bool, u.nconst),
+	fr := &frame{scal: make([]*interp.Value, u.nscal), consts: make([]constCell, u.nconst)}
+	if len(u.params) == 0 {
+		fr.arr = make([]*interp.Array, u.narr)
+		return fr
 	}
+	arrs := make([]*interp.Array, 2*u.narr)
+	fr.arr, fr.bind = arrs[:u.narr], arrs[u.narr:]
+	return fr
 }
 
 // rctx is the per-rank execution context: everything mutable during a run.
 type rctx struct {
-	prog  *Program
 	rank  *mpi.Rank
 	costs interp.CostModel
+	tab   []netsim.Time // charge-vector totals under costs
 	out   []string
 	reqs  []*mpi.Request
 	main  *frame
+	// pend is the callee frame whose arguments are being bound. Actual
+	// arguments cannot contain calls, so at most one is pending per rank.
+	pend *frame
 }
 
 func (x *rctx) charge(t netsim.Time) { x.rank.Compute(t) }
-
-// stmtFn is a compiled statement; exprFn a compiled expression.
-type stmtFn func(x *rctx, fr *frame) error
-type exprFn func(x *rctx, fr *frame) (interp.Value, error)
 
 // Control-flow sentinels (same contract as the tree-walker's).
 var (
@@ -121,35 +128,29 @@ func rte(pos ftn.Pos, format string, args ...interface{}) error {
 	return fmt.Errorf("%s: %v", pos, fmt.Errorf(format, args...))
 }
 
-// runStmts executes a compiled statement list.
-func runStmts(x *rctx, fr *frame, fns []stmtFn) error {
-	for _, fn := range fns {
-		if err := fn(x, fr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Compile lowers a parsed file into a closure program.
+// Compile builds a program's units and their slot tables. Lowering to
+// bytecode happens once, on the first Bytecode or RunBytecode call.
 func Compile(file *ftn.File) (*Program, error) {
 	if file.Program() == nil {
 		return nil, fmt.Errorf("exec: no program unit")
 	}
-	prog := &Program{units: map[string]*unit{}}
+	prog := &Program{}
+	var subs []*unit
+	seen := map[string]bool{}
 	for _, un := range file.Units {
-		cu := compileUnit(prog, un)
 		switch un.Kind {
 		case ftn.ProgramUnit:
 			if prog.main == nil {
-				prog.main = cu
+				prog.main = compileUnit(un)
 			}
 		case ftn.SubroutineUnit:
-			if _, ok := prog.units[un.Name]; !ok {
-				prog.units[un.Name] = cu
+			if !seen[un.Name] { // first definition wins
+				seen[un.Name] = true
+				subs = append(subs, compileUnit(un))
 			}
 		}
 	}
+	prog.units = append([]*unit{prog.main}, subs...)
 	return prog, nil
 }
 
@@ -163,17 +164,12 @@ func CompileSource(src string) (*Program, error) {
 	return Compile(f)
 }
 
-// Run executes the compiled program on np simulated ranks over the profile,
+// RunBytecode executes the program on np simulated ranks over the profile,
 // charging computation against costs. The result is bit-identical to
 // interp's tree-walk of the same source under the same machine.
-func (p *Program) Run(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
-	return p.runEngine(np, prof, costs, p.runMain)
-}
-
-// runEngine is the shared rank-fanout harness: it runs `run` on every
-// simulated rank and assembles the Result exactly as Run always has. The
-// closure tier passes runMain, the bytecode tier passes runMainBC.
-func (p *Program) runEngine(np int, prof netsim.Profile, costs interp.CostModel, run func(*rctx) error) (*interp.Result, error) {
+func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostModel) (*interp.Result, error) {
+	bp := p.Bytecode()
+	tab := chargeTab(p.vecs, costs)
 	res := &interp.Result{
 		Output: make([][]string, np),
 		Arrays: make([]map[string]interface{}, np),
@@ -181,8 +177,8 @@ func (p *Program) runEngine(np int, prof netsim.Profile, costs interp.CostModel,
 	}
 	var mu sync.Mutex
 	stats, err := mpi.Run(np, prof, func(r *mpi.Rank) {
-		x := &rctx{prog: p, rank: r, costs: costs}
-		runErr := run(x)
+		x := &rctx{rank: r, costs: costs, tab: tab}
+		runErr := x.runRank(bp)
 		mu.Lock()
 		res.Output[r.Me()] = x.out
 		res.Errors[r.Me()] = runErr
@@ -216,8 +212,8 @@ func (p *Program) runEngine(np int, prof netsim.Profile, costs interp.CostModel,
 	return res, nil
 }
 
-// runMain executes the main unit on this context's rank.
-func (p *Program) runMain(x *rctx) (err error) {
+// runRank executes the lowered main unit on this context's rank.
+func (x *rctx) runRank(bp *bprog) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			// The wording matches the tree-walker's: per-rank error strings
@@ -226,18 +222,16 @@ func (p *Program) runMain(x *rctx) (err error) {
 			err = fmt.Errorf("interp panic: %v", r)
 		}
 	}()
-	fr := p.main.newFrame()
-	for _, st := range p.main.setup {
-		if err := st(x, fr); err != nil {
-			return err
-		}
-	}
-	// Arrays are snapshotted only once the frame initialized cleanly,
-	// matching the tree-walker (newFrame failure leaves no main frame).
-	x.main = fr
-	err = runStmts(x, fr, p.main.body)
+	err = x.run(bp, bp.u.newFrame())
 	if err == errStop || err == errReturn {
 		err = nil
 	}
 	return err
+}
+
+// run executes one activation of a lowered unit on a fresh register file.
+func (x *rctx) run(bp *bprog, fr *frame) error {
+	regs := make([]interp.Value, len(bp.regInit))
+	copy(regs, bp.regInit)
+	return bp.bexec(x, fr, regs)
 }

@@ -16,8 +16,8 @@ import (
 	"repro/internal/workload"
 )
 
-// fastEngines are the tiers proven against the walk oracle.
-var fastEngines = []exec.Engine{exec.EngineCompile, exec.EngineBytecode}
+// fastEngines are the compiled engines proven against the walk oracle.
+var fastEngines = []exec.Engine{exec.EngineBytecode}
 
 // requireBitIdentical asserts two results agree on everything the
 // simulation observes: printed output, every final array (both ways),
@@ -66,6 +66,22 @@ func runAll(t *testing.T, label, src string, np int, m plan.Machine) {
 			t.Fatalf("%s: %s: %v", label, eng, err)
 		}
 		requireBitIdentical(t, fmt.Sprintf("%s/%s", label, eng), walk, fast)
+	}
+}
+
+// runAllErr executes a failing src under the walk oracle and every fast
+// tier, requiring each tier to fail with the oracle's exact error string.
+func runAllErr(t *testing.T, label, src string, np int, m plan.Machine) {
+	t.Helper()
+	_, werr := exec.EngineWalk.Run(src, np, m.Costs, m.Profile)
+	if werr == nil {
+		t.Fatalf("%s: walk: no error", label)
+	}
+	for _, eng := range fastEngines {
+		_, err := eng.Run(src, np, m.Costs, m.Profile)
+		if err == nil || err.Error() != werr.Error() {
+			t.Fatalf("%s: %s error %v, walk error %v", label, eng, err, werr)
+		}
 	}
 }
 
@@ -147,9 +163,16 @@ func TestCorpusBitIdentical(t *testing.T) {
 }
 
 // TestSubroutineAndImplicitSemantics exercises the engine's trickiest
-// lowering paths in one kernel: user subroutines with scalar aliasing and
+// lowering paths: user subroutines with scalar aliasing and
 // sequence-associated array views, implicit typing, named constants,
-// intrinsics, EXIT/CYCLE, and a loop whose variable survives the loop.
+// intrinsics, EXIT/CYCLE, and a loop whose variable survives the loop; a
+// DO variable that is an undeclared dummy, EXIT/CYCLE inside a subroutine
+// loop and escaping a callee into the caller's loop, MPI_Waitall over
+// requests posted inside a subroutine, a dummy array read by frame setup
+// before its declaration (an implicit scalar, like the walker's binding
+// map), implicit scalars read but never assigned, and PRINT of mixed
+// kinds; and runtime errors raised inside subroutines, whose strings must
+// match the oracle's.
 func TestSubroutineAndImplicitSemantics(t *testing.T) {
 	src := `
 program torture
@@ -199,6 +222,129 @@ end subroutine bump
 	for _, m := range plan.Builtin() {
 		runAll(t, "torture/"+m.Name, src, 3, m)
 	}
+
+	subpaths := `
+program subpaths
+  include 'mpif.h'
+  integer reqs(1:4)
+  integer sbuf(1:8), rbuf(1:8)
+  integer ierr, me, other, i, kk, total, nreq
+  logical flag
+  call mpi_init(ierr)
+  call mpi_comm_rank(mpi_comm_world, me, ierr)
+  other = 1 - me
+  do i = 1, 8
+    sbuf(i) = me * 100 + i
+    rbuf(i) = -1
+  enddo
+  nreq = 0
+  call post(sbuf, rbuf, 4, other, reqs, nreq)
+  call mpi_waitall(nreq, reqs, mpi_statuses_ignore, ierr)
+  call peek(rbuf)
+  kk = 0
+  total = 0
+  call loopy(kk, 5, total)
+  call loopy(sbuf, 2, total)
+  do i = 1, 6
+    call quit(i, total)
+    total = total + 1000
+  enddo
+  flag = total > 10
+  print *, 'mixed', total, kk, i, 2.5, flag, 'str', rbuf(1), rbuf(2), rbuf(4), reqs(1), never, xnever
+  call mpi_finalize(ierr)
+end program subpaths
+
+subroutine post(s, r, n, peer, reqs, nreq)
+  integer n, peer, nreq
+  integer s(*), r(*), reqs(*)
+  nreq = nreq + 1
+  call mpi_isend(s(1), n, mpi_integer, peer, 7, mpi_comm_world, reqs(nreq), ierr)
+  nreq = nreq + 1
+  call mpi_irecv(r(1), n, mpi_integer, peer, 7, mpi_comm_world, reqs(nreq), ierr)
+end subroutine post
+
+subroutine peek(v)
+  integer, parameter :: q = v + 1
+  integer v(1:8)
+  v(2) = q + v(1)
+end subroutine peek
+
+subroutine loopy(k, n, acc)
+  integer n, acc
+  do k = 1, n * 3
+    if (k == 2) then
+      cycle
+    endif
+    if (k > n) then
+      exit
+    endif
+    acc = acc + k
+  enddo
+end subroutine loopy
+
+subroutine quit(i, acc)
+  integer i, acc
+  acc = acc + i
+  if (i == 2) then
+    cycle
+  endif
+  if (i == 4) then
+    exit
+  endif
+end subroutine quit
+`
+	for _, m := range plan.Builtin() {
+		runAll(t, "subpaths/"+m.Name, subpaths, 2, m)
+	}
+
+	failing := map[string]string{
+		"divide": `
+program suberr
+  integer ierr, z
+  call mpi_init(ierr)
+  z = 0
+  call divide(z)
+  call mpi_finalize(ierr)
+end program suberr
+
+subroutine divide(d)
+  integer d, q
+  q = 10 / d
+end subroutine divide
+`,
+		"declared-dummy-oob": `
+program oob
+  integer a(1:4)
+  integer ierr
+  call mpi_init(ierr)
+  call poke(a, 4)
+  call mpi_finalize(ierr)
+end program oob
+
+subroutine poke(v, n)
+  integer n
+  integer v(1:n)
+  v(n + 1) = 1
+end subroutine poke
+`,
+		"undeclared-dummy-oob": `
+program oob
+  integer a(1:4)
+  integer ierr
+  call mpi_init(ierr)
+  call peek(a)
+  call mpi_finalize(ierr)
+end program oob
+
+subroutine peek(v)
+  x = v(9)
+end subroutine peek
+`,
+	}
+	m := plan.MPICHGM2005()
+	for name, src := range failing {
+		runAllErr(t, name, src, 2, m)
+	}
 }
 
 // TestDuplicateArrayDeclaration: a unit declaring the same array name
@@ -224,16 +370,25 @@ end program dupdecl
 
 // TestForwardConstantReference: a parameter initializer referencing a
 // later parameter must fall back to the implicit-typing zero exactly like
-// the tree-walker (the constant is only visible once pass 1 sets it).
+// the tree-walker (the constant is only visible once pass 1 sets it). The
+// fallback creates a scalar cell, so a later store to the constant's name
+// succeeds while reads still see the constant; likewise an array bound
+// reading a scalar before its declaration creates an implicit real cell
+// that the integer declaration then keeps.
 func TestForwardConstantReference(t *testing.T) {
 	src := `
 program fwdconst
   include 'mpif.h'
   integer, parameter :: k = 3 + b
   integer, parameter :: b = 5
+  real w(1:xx + 2)
+  integer xx
   integer ierr
   call mpi_init(ierr)
-  print *, 'k', k, 'b', b
+  b = 7
+  xx = 7
+  w(2) = xx + 1
+  print *, 'k', k, 'b', b, 'xx', xx + 1, -xx, w(2)
   call mpi_finalize(ierr)
 end program fwdconst
 `

@@ -6,138 +6,11 @@ import (
 	"repro/internal/mpi"
 )
 
-// call compiles a CALL statement: MPI bindings are lowered to pre-resolved
-// closures over the same mpi runtime the tree-walker's mpibind uses; other
-// names dispatch to compiled user subroutines.
-func (c *comp) call(s *ftn.CallStmt) stmtFn {
-	switch s.Name {
-	case "mpi_init", "mpi_finalize":
-		if len(s.Args) == 1 {
-			st := c.store(s.Args[0])
-			return func(x *rctx, fr *frame) error {
-				return st(x, fr, interp.IntVal(0))
-			}
-		}
-		return func(x *rctx, fr *frame) error { return nil }
-	case "mpi_comm_rank", "mpi_comm_size":
-		if len(s.Args) != 3 {
-			return errStmt(s.Pos(), "%s needs 3 arguments", s.Name)
-		}
-		st1 := c.store(s.Args[1])
-		st2 := c.store(s.Args[2])
-		wantRank := s.Name == "mpi_comm_rank"
-		return func(x *rctx, fr *frame) error {
-			v := int64(x.rank.NP())
-			if wantRank {
-				v = int64(x.rank.Me())
-			}
-			if err := st1(x, fr, interp.IntVal(v)); err != nil {
-				return err
-			}
-			return st2(x, fr, interp.IntVal(0))
-		}
-	case "mpi_barrier":
-		var st storeFn
-		if len(s.Args) == 2 {
-			st = c.store(s.Args[1])
-		}
-		return func(x *rctx, fr *frame) error {
-			x.rank.Barrier()
-			if st != nil {
-				return st(x, fr, interp.IntVal(0))
-			}
-			return nil
-		}
-	case "mpi_isend", "mpi_irecv":
-		return c.isendIrecv(s)
-	case "mpi_send", "mpi_recv":
-		return c.blockingSendRecv(s)
-	case "mpi_wait":
-		return c.wait(s)
-	case "mpi_waitall":
-		return c.waitall(s)
-	case "mpi_alltoall":
-		return c.alltoall(s)
-	case "flush":
-		return func(x *rctx, fr *frame) error { return nil } // test helper: no-op sink
-	}
-	return c.userCall(s)
-}
-
-// bufFn resolves an MPI buffer argument to (array, linear offset).
-type bufFn func(x *rctx, fr *frame) (*interp.Array, int64, error)
-
-// buffer compiles an MPI buffer argument (bufferArg semantics).
-func (c *comp) buffer(e ftn.Expr) bufFn {
-	switch e := e.(type) {
-	case *ftn.Ident:
-		arrOf := c.arrayOf(e.Name)
-		pos := e.Pos()
-		name := e.Name
-		return func(x *rctx, fr *frame) (*interp.Array, int64, error) {
-			a := arrOf(fr)
-			if a == nil {
-				return nil, 0, rte(pos, "MPI buffer %s is not an array", name)
-			}
-			return a, 0, nil
-		}
-	case *ftn.Ref:
-		arrOf := c.arrayOf(e.Name)
-		subs := make([]exprFn, len(e.Args))
-		for i, a := range e.Args {
-			subs[i] = c.expr(a)
-		}
-		pos := e.Pos()
-		name := e.Name
-		return func(x *rctx, fr *frame) (*interp.Array, int64, error) {
-			a := arrOf(fr)
-			if a == nil {
-				return nil, 0, rte(pos, "MPI buffer %s is not an array", name)
-			}
-			ix, err := evalInts(x, fr, subs)
-			if err != nil {
-				return nil, 0, err
-			}
-			off, err := a.Linear(ix)
-			if err != nil {
-				return nil, 0, rte(pos, "%v", err)
-			}
-			return a, off, nil
-		}
-	}
-	pos := e.Pos()
-	return func(x *rctx, fr *frame) (*interp.Array, int64, error) {
-		return nil, 0, rte(pos, "bad MPI buffer argument")
-	}
-}
-
-// countType compiles the (count, datatype) pair, yielding element count and
-// element byte size (countTypeArgs semantics).
-func (c *comp) countType(countE, typeE ftn.Expr) func(x *rctx, fr *frame) (int64, int64, error) {
-	countF := c.expr(countE)
-	typeF := c.expr(typeE)
-	countPos := countE.Pos()
-	typePos := typeE.Pos()
-	return func(x *rctx, fr *frame) (int64, int64, error) {
-		cv, err := countF(x, fr)
-		if err != nil {
-			return 0, 0, err
-		}
-		tv, err := typeF(x, fr)
-		if err != nil {
-			return 0, 0, err
-		}
-		bytes, ok := interp.DTypeBytes(tv.AsInt())
-		if !ok {
-			return 0, 0, rte(typePos, "unknown MPI datatype %d", tv.AsInt())
-		}
-		count := cv.AsInt()
-		if count < 0 {
-			return 0, 0, rte(countPos, "negative MPI count %d", count)
-		}
-		return count, bytes, nil
-	}
-}
+// The MPI opcodes' run-time halves. Each reads its operands from the
+// registers and array slots named by an mpiDesc and drives the same mpi
+// runtime the tree-walker's mpibind uses; argument evaluation, buffer and
+// datatype checks, and the ierr/request stores are separate instructions
+// lowered in the walker's order.
 
 // addReq registers req and returns its 1-based handle.
 func (x *rctx) addReq(req *mpi.Request) int64 {
@@ -161,337 +34,83 @@ func (x *rctx) waitHandle(h int64, pos ftn.Pos) error {
 	return nil
 }
 
-// isendIrecv lowers mpi_isend/mpi_irecv(buf, count, dtype, peer, tag, comm,
-// request, ierr).
-func (c *comp) isendIrecv(s *ftn.CallStmt) stmtFn {
-	if len(s.Args) != 8 {
-		return errStmt(s.Pos(), "%s needs 8 arguments", s.Name)
+// post starts mpi_isend/mpi_irecv and returns the request handle.
+func (x *rctx) post(send bool, fr *frame, regs []interp.Value, d *mpiDesc) int64 {
+	arr, off, count := fr.arr[d.buf], regs[d.off].AsInt(), regs[d.count].AsInt()
+	peer, tag := int(regs[d.peer].AsInt()), int(regs[d.tag].AsInt())
+	bytes := count * regs[d.elem].I
+	if send {
+		return x.addReq(x.rank.Isend(peer, tag, bytes, func() interface{} {
+			p, cerr := arr.CopyOut(off, count)
+			if cerr != nil {
+				panic(cerr)
+			}
+			return p
+		}))
 	}
-	buf := c.buffer(s.Args[0])
-	ct := c.countType(s.Args[1], s.Args[2])
-	peerF := c.expr(s.Args[3])
-	tagF := c.expr(s.Args[4])
-	stReq := c.store(s.Args[6])
-	stErr := c.store(s.Args[7])
-	isSend := s.Name == "mpi_isend"
-	return func(x *rctx, fr *frame) error {
-		arr, off, err := buf(x, fr)
-		if err != nil {
-			return err
+	return x.addReq(x.rank.Irecv(peer, tag, bytes, func(p interface{}) {
+		if cerr := arr.CopyIn(off, p); cerr != nil {
+			panic(cerr)
 		}
-		count, elemBytes, err := ct(x, fr)
-		if err != nil {
-			return err
-		}
-		peerV, err := peerF(x, fr)
-		if err != nil {
-			return err
-		}
-		tagV, err := tagF(x, fr)
-		if err != nil {
-			return err
-		}
-		peer := int(peerV.AsInt())
-		tag := int(tagV.AsInt())
-		bytes := count * elemBytes
-		var handle int64
-		if isSend {
-			req := x.rank.Isend(peer, tag, bytes, func() interface{} {
-				p, cerr := arr.CopyOut(off, count)
-				if cerr != nil {
-					panic(cerr)
-				}
-				return p
-			})
-			handle = x.addReq(req)
-		} else {
-			req := x.rank.Irecv(peer, tag, bytes, func(p interface{}) {
-				if cerr := arr.CopyIn(off, p); cerr != nil {
-					panic(cerr)
-				}
-			})
-			handle = x.addReq(req)
-		}
-		if err := stReq(x, fr, interp.IntVal(handle)); err != nil {
-			return err
-		}
-		return stErr(x, fr, interp.IntVal(0))
-	}
+	}))
 }
 
-// blockingSendRecv lowers mpi_send(buf, count, dtype, peer, tag, comm,
-// ierr) and mpi_recv(..., status, ierr).
-func (c *comp) blockingSendRecv(s *ftn.CallStmt) stmtFn {
-	want := 7
-	if s.Name == "mpi_recv" {
-		want = 8
+// transfer runs a blocking mpi_send/mpi_recv.
+func (x *rctx) transfer(send bool, fr *frame, regs []interp.Value, d *mpiDesc) {
+	arr, off, count := fr.arr[d.buf], regs[d.off].AsInt(), regs[d.count].AsInt()
+	peer, tag := int(regs[d.peer].AsInt()), int(regs[d.tag].AsInt())
+	bytes := count * regs[d.elem].I
+	if send {
+		x.rank.Send(peer, tag, bytes, func() interface{} {
+			p, cerr := arr.CopyOut(off, count)
+			if cerr != nil {
+				panic(cerr)
+			}
+			return p
+		})
+		return
 	}
-	if len(s.Args) != want {
-		return errStmt(s.Pos(), "%s needs %d arguments", s.Name, want)
-	}
-	buf := c.buffer(s.Args[0])
-	ct := c.countType(s.Args[1], s.Args[2])
-	peerF := c.expr(s.Args[3])
-	tagF := c.expr(s.Args[4])
-	stErr := c.store(s.Args[want-1])
-	isSend := s.Name == "mpi_send"
-	return func(x *rctx, fr *frame) error {
-		arr, off, err := buf(x, fr)
-		if err != nil {
-			return err
+	x.rank.Recv(peer, tag, bytes, func(p interface{}) {
+		if cerr := arr.CopyIn(off, p); cerr != nil {
+			panic(cerr)
 		}
-		count, elemBytes, err := ct(x, fr)
-		if err != nil {
-			return err
-		}
-		peerV, err := peerF(x, fr)
-		if err != nil {
-			return err
-		}
-		tagV, err := tagF(x, fr)
-		if err != nil {
-			return err
-		}
-		peer, tag := int(peerV.AsInt()), int(tagV.AsInt())
-		bytes := count * elemBytes
-		if isSend {
-			x.rank.Send(peer, tag, bytes, func() interface{} {
-				p, cerr := arr.CopyOut(off, count)
-				if cerr != nil {
-					panic(cerr)
-				}
-				return p
-			})
-		} else {
-			x.rank.Recv(peer, tag, bytes, func(p interface{}) {
-				if cerr := arr.CopyIn(off, p); cerr != nil {
-					panic(cerr)
-				}
-			})
-		}
-		return stErr(x, fr, interp.IntVal(0))
-	}
+	})
 }
 
-// wait lowers mpi_wait(request, status, ierr).
-func (c *comp) wait(s *ftn.CallStmt) stmtFn {
-	if len(s.Args) != 3 {
-		return errStmt(s.Pos(), "mpi_wait needs 3 arguments")
+// waitall completes the count handles stored from the buffer's offset on,
+// nulling each one.
+func (x *rctx) waitall(fr *frame, regs []interp.Value, d *mpiDesc) error {
+	arr, off, n := fr.arr[d.buf], regs[d.off].AsInt(), regs[d.count].AsInt()
+	for i := int64(0); i < n; i++ {
+		if err := x.waitHandle(arr.RawGet(off+i).AsInt(), d.pos); err != nil {
+			return err
+		}
+		arr.RawSet(off+i, interp.IntVal(0))
 	}
-	hF := c.expr(s.Args[0])
-	stReq := c.store(s.Args[0])
-	stErr := c.store(s.Args[2])
-	pos := s.Pos()
-	return func(x *rctx, fr *frame) error {
-		hv, err := hF(x, fr)
-		if err != nil {
-			return err
-		}
-		if err := x.waitHandle(hv.AsInt(), pos); err != nil {
-			return err
-		}
-		// Invalidate the handle.
-		if err := stReq(x, fr, interp.IntVal(0)); err != nil {
-			return err
-		}
-		return stErr(x, fr, interp.IntVal(0))
-	}
+	return nil
 }
 
-// waitall lowers mpi_waitall(count, requests, statuses, ierr).
-func (c *comp) waitall(s *ftn.CallStmt) stmtFn {
-	if len(s.Args) != 4 {
-		return errStmt(s.Pos(), "mpi_waitall needs 4 arguments")
+// alltoall runs mpi_alltoall with the §3.5 partition semantics: the send
+// buffer is NP consecutive blocks of the send count.
+func (x *rctx) alltoall(fr *frame, regs []interp.Value, d *mpiDesc) error {
+	sArr, sOff, sCount := fr.arr[d.buf], regs[d.off].AsInt(), regs[d.count].AsInt()
+	rArr, rOff, rCount := fr.arr[d.rbuf], regs[d.roff].AsInt(), regs[d.rcount].AsInt()
+	var cbErr error
+	x.rank.Alltoall(sCount*regs[d.elem].I,
+		func(dst int) interface{} {
+			p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount)
+			if cerr != nil && cbErr == nil {
+				cbErr = cerr
+			}
+			return p
+		},
+		func(src int, p interface{}) {
+			if cerr := rArr.CopyIn(rOff+int64(src)*rCount, p); cerr != nil && cbErr == nil {
+				cbErr = cerr
+			}
+		})
+	if cbErr != nil {
+		return rte(d.pos, "%v", cbErr)
 	}
-	nF := c.expr(s.Args[0])
-	buf := c.buffer(s.Args[1])
-	stErr := c.store(s.Args[3])
-	pos := s.Pos()
-	return func(x *rctx, fr *frame) error {
-		nv, err := nF(x, fr)
-		if err != nil {
-			return err
-		}
-		arr, off, err := buf(x, fr)
-		if err != nil {
-			return err
-		}
-		n := nv.AsInt()
-		for i := int64(0); i < n; i++ {
-			h := arr.RawGet(off + i).AsInt()
-			if err := x.waitHandle(h, pos); err != nil {
-				return err
-			}
-			arr.RawSet(off+i, interp.IntVal(0))
-		}
-		return stErr(x, fr, interp.IntVal(0))
-	}
-}
-
-// alltoall lowers mpi_alltoall(sbuf, scount, stype, rbuf, rcount, rtype,
-// comm, ierr) with the §3.5 partition semantics.
-func (c *comp) alltoall(s *ftn.CallStmt) stmtFn {
-	if len(s.Args) != 8 {
-		return errStmt(s.Pos(), "mpi_alltoall needs 8 arguments")
-	}
-	sBuf := c.buffer(s.Args[0])
-	sCT := c.countType(s.Args[1], s.Args[2])
-	rBuf := c.buffer(s.Args[3])
-	rCT := c.countType(s.Args[4], s.Args[5])
-	stErr := c.store(s.Args[7])
-	pos := s.Pos()
-	return func(x *rctx, fr *frame) error {
-		sArr, sOff, err := sBuf(x, fr)
-		if err != nil {
-			return err
-		}
-		sCount, sBytes, err := sCT(x, fr)
-		if err != nil {
-			return err
-		}
-		rArr, rOff, err := rBuf(x, fr)
-		if err != nil {
-			return err
-		}
-		rCount, _, err := rCT(x, fr)
-		if err != nil {
-			return err
-		}
-		var cbErr error
-		x.rank.Alltoall(sCount*sBytes,
-			func(dst int) interface{} {
-				p, cerr := sArr.CopyOut(sOff+int64(dst)*sCount, sCount)
-				if cerr != nil && cbErr == nil {
-					cbErr = cerr
-				}
-				return p
-			},
-			func(src int, p interface{}) {
-				if cerr := rArr.CopyIn(rOff+int64(src)*rCount, p); cerr != nil && cbErr == nil {
-					cbErr = cerr
-				}
-			})
-		if cbErr != nil {
-			return rte(pos, "%v", cbErr)
-		}
-		return stErr(x, fr, interp.IntVal(0))
-	}
-}
-
-// binding is one actual argument's contribution to a callee frame: a
-// scalar cell alias or an array (view).
-type binding struct {
-	scal *interp.Value
-	arr  *interp.Array
-}
-
-// argBinder evaluates one actual argument in the caller's frame. dummy is
-// the callee's dummy name (only used to label sequence-association views).
-type argBinder func(x *rctx, fr *frame, dummy string) (binding, error)
-
-// userCall compiles a call to a user subroutine with Fortran reference
-// semantics (callUser). The target unit is resolved at run time so a call
-// to a subroutine defined later in the file still binds.
-func (c *comp) userCall(s *ftn.CallStmt) stmtFn {
-	binders := make([]argBinder, len(s.Args))
-	for i, a := range s.Args {
-		binders[i] = c.argBinder(a)
-	}
-	pos := s.Pos()
-	name := s.Name
-	return func(x *rctx, fr *frame) error {
-		sub := x.prog.units[name]
-		if sub == nil {
-			return rte(pos, "unknown subroutine %s", name)
-		}
-		if len(binders) != len(sub.params) {
-			return rte(pos, "call to %s with %d args, wants %d", name, len(binders), len(sub.params))
-		}
-		x.charge(x.costs.CallOver)
-		nfr := sub.newFrame()
-		for i, b := range binders {
-			bd, err := b(x, fr, sub.params[i])
-			if err != nil {
-				return err
-			}
-			if bd.scal != nil {
-				nfr.scal[sub.paramScal[i]] = bd.scal
-			}
-			if bd.arr != nil {
-				nfr.arr[sub.paramArr[i]] = bd.arr
-			}
-		}
-		for _, st := range sub.setup {
-			if err := st(x, nfr); err != nil {
-				return err
-			}
-		}
-		err := runStmts(x, nfr, sub.body)
-		if err == errReturn {
-			err = nil
-		}
-		return err
-	}
-}
-
-// argBinder compiles one actual argument's binding rule.
-func (c *comp) argBinder(a ftn.Expr) argBinder {
-	switch a := a.(type) {
-	case *ftn.Ident:
-		arrOf := c.arrayOf(a.Name)
-		ptr := c.scalarPtr(a.Name, a.Pos())
-		return func(x *rctx, fr *frame, dummy string) (binding, error) {
-			if arr := arrOf(fr); arr != nil {
-				return binding{arr: arr}, nil
-			}
-			p, err := ptr(x, fr)
-			if err != nil {
-				return binding{}, err
-			}
-			return binding{scal: p}, nil // alias: writes are visible to the caller
-		}
-	case *ftn.Ref:
-		arrOf := c.arrayOf(a.Name)
-		subs := make([]exprFn, len(a.Args))
-		for i, e := range a.Args {
-			subs[i] = c.expr(e)
-		}
-		full := c.expr(a) // value path when the name is not an array here
-		pos := a.Pos()
-		return func(x *rctx, fr *frame, dummy string) (binding, error) {
-			if arr := arrOf(fr); arr != nil {
-				ix, err := evalInts(x, fr, subs)
-				if err != nil {
-					return binding{}, err
-				}
-				off, err := arr.Linear(ix)
-				if err != nil {
-					return binding{}, err
-				}
-				// Sequence association: the callee's dummy views the
-				// caller's storage from this element on.
-				view, err := interp.View(dummy, arr, off, []interp.DimBound{{Lo: 1, Assumed: true}})
-				if err != nil {
-					return binding{}, rte(pos, "%v", err)
-				}
-				return binding{arr: view}, nil
-			}
-			v, err := full(x, fr)
-			if err != nil {
-				return binding{}, err
-			}
-			tmp := v
-			return binding{scal: &tmp}, nil
-		}
-	default:
-		full := c.expr(a)
-		return func(x *rctx, fr *frame, dummy string) (binding, error) {
-			v, err := full(x, fr)
-			if err != nil {
-				return binding{}, err
-			}
-			tmp := v
-			return binding{scal: &tmp}, nil
-		}
-	}
+	return nil
 }

@@ -9,7 +9,7 @@ import (
 	"sync"
 )
 
-// The variant store is the compiled-variant cache behind the compile
+// The variant store is the compiled-variant cache behind the bytecode
 // engine. Every (program, plan) variant the pipeline produces is a concrete
 // source text — core.Apply memoizes plan keys onto generated sources, so
 // hashing the variant source is a canonical superset of keying by plan key:

@@ -92,10 +92,9 @@ type Config struct {
 	Verify bool
 	// Engine selects the execution engine: exec.EngineBytecode (default)
 	// lowers each (program, plan) variant once into a register bytecode
-	// program, exec.EngineCompile runs the closure mid-tier, and
-	// exec.EngineWalk re-parses and tree-walks per run — the differential
-	// oracle. Fast-tier artifacts are shared through the sweep session's
-	// variant store.
+	// program, and exec.EngineWalk re-parses and tree-walks per run — the
+	// differential oracle. Bytecode artifacts are shared through the sweep
+	// session's variant store.
 	Engine exec.Engine
 	// Session, when non-nil, supplies the variant store, plan memo, and
 	// engine the sweep runs through — two sweeps sharing a session share
@@ -317,9 +316,9 @@ type ProfileSummary struct {
 // Report is the sweep artifact (marshalled to BENCH_harness.json).
 type Report struct {
 	Schema string `json:"schema"`
-	// Engine names the execution engine the sweep ran on ("bytecode",
-	// "compile", or "walk"). Merge requires it to agree across shards:
-	// mixing engines would make the summed wall/cache counters meaningless.
+	// Engine names the execution engine the sweep ran on ("bytecode" or
+	// "walk"). Merge requires it to agree across shards: mixing engines
+	// would make the summed wall/cache counters meaningless.
 	Engine string `json:"engine,omitempty"`
 	// TuneCheckEngine names the tiered-tuning check engine, when one re-
 	// proved the adopted plans. Merge requires it to agree across shards

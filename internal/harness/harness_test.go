@@ -83,7 +83,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestEnginesAgreeFixedAndTuned: sweeping a family-diverse corpus prefix
-// under the walk oracle and the compiled engine must produce identical
+// under the walk oracle and the bytecode engine must produce identical
 // reports — fixed measurements, oracle verdicts, and every tuned decision
 // — modulo the engine name and the wall/cache counters, on both the fixed
 // and the tuned paths. (The full-corpus fixed-path differential lives in
@@ -113,30 +113,27 @@ func TestEnginesAgreeFixedAndTuned(t *testing.T) {
 		if walk.Engine != string(exec.EngineWalk) {
 			t.Fatalf("engine recorded as %q", walk.Engine)
 		}
-		want := norm(walk)
-		for _, eng := range []exec.Engine{exec.EngineCompile, exec.EngineBytecode} {
-			fast, err := Run(Config{Scenarios: corpus, Tune: tuned, Engine: eng})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.Engine != string(eng) {
-				t.Fatalf("engine recorded as %q, want %q", fast.Engine, eng)
-			}
-			if got := norm(fast); got != want {
-				t.Errorf("tune=%v: walk and %s reports differ:\n%s\nvs\n%s", tuned, eng, want, got)
-			}
+		fast, err := Run(Config{Scenarios: corpus, Tune: tuned, Engine: exec.EngineBytecode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.Engine != string(exec.EngineBytecode) {
+			t.Fatalf("engine recorded as %q, want %q", fast.Engine, exec.EngineBytecode)
+		}
+		if want, got := norm(walk), norm(fast); got != want {
+			t.Errorf("tune=%v: walk and bytecode reports differ:\n%s\nvs\n%s", tuned, want, got)
 		}
 	}
 }
 
-// TestCompiledSweepRecordsCacheEconomics: a compile-engine sweep must
+// TestCompiledSweepRecordsCacheEconomics: a default-engine sweep must
 // report its variant-store traffic and wall time in the summary fields.
 // Each Run gets a private session (exact counts, no global state to
 // reset); sharing compiled variants across sweeps takes an explicit shared
 // session.
 func TestCompiledSweepRecordsCacheEconomics(t *testing.T) {
 	corpus := smallCorpus(t, 3)
-	rep, err := Run(Config{Scenarios: corpus, Engine: exec.EngineCompile})
+	rep, err := Run(Config{Scenarios: corpus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +153,7 @@ func TestCompiledSweepRecordsCacheEconomics(t *testing.T) {
 	// A second private-session sweep compiles everything again (sessions
 	// are isolated); the same sweep through a shared session is served
 	// from the first sweep's store.
-	private, err := Run(Config{Scenarios: corpus, Engine: exec.EngineCompile})
+	private, err := Run(Config{Scenarios: corpus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +262,7 @@ func TestMergeRejectsEngineMismatch(t *testing.T) {
 		return rep
 	}
 	pairs := [][2]exec.Engine{
-		{exec.EngineCompile, exec.EngineWalk},
 		{exec.EngineBytecode, exec.EngineWalk},
-		{exec.EngineBytecode, exec.EngineCompile},
 	}
 	for _, pr := range pairs {
 		a := shard(corpus[:1], pr[0])

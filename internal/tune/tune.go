@@ -102,7 +102,7 @@ type Options struct {
 	// tiered-tuning contract: candidates are measured on the fast tier,
 	// the winner stays oracle-backed. "" disables the re-check.
 	CheckEngine exec.Engine
-	// Store backs the compile engine's variant cache for measured runs;
+	// Store backs the bytecode engine's variant cache for measured runs;
 	// nil selects the process-default store.
 	Store exec.VariantStore
 	// Memo, when non-nil, short-circuits the search for (fingerprint,
