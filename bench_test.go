@@ -168,14 +168,19 @@ func BenchmarkHarnessSweep(b *testing.B) {
 	}
 }
 
+// engineRunKernel is the mid-size corpus kernel one engine run is priced
+// on: corpus scenario 3 on mpich-gm.
+func engineRunKernel() (workload.Scenario, plan.Machine) {
+	return workload.GenerateScenarios(workload.GenOptions{Limit: 4})[3], plan.MPICHGM2005()
+}
+
 // BenchmarkEngineRun compares one simulated run per engine on a mid-size
 // corpus kernel: the walk engine pays parse + tree-walk every time, the
 // bytecode engine replays a cached program through its lowered register
-// machine. Allocations per run are a deterministic counter worth
-// tracking across changes.
+// machine. Allocations per run are a deterministic counter, gated by
+// TestEngineRunAllocs.
 func BenchmarkEngineRun(b *testing.B) {
-	sc := workload.GenerateScenarios(workload.GenOptions{Limit: 4})[3]
-	m := plan.MPICHGM2005()
+	sc, m := engineRunKernel()
 	for _, engine := range []exec.Engine{exec.EngineWalk, exec.EngineBytecode} {
 		b.Run(string(engine), func(b *testing.B) {
 			b.ReportAllocs()
@@ -185,6 +190,31 @@ func BenchmarkEngineRun(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestEngineRunAllocs gates allocations per run on BenchmarkEngineRun's
+// kernel for both engines. Allocation counts are deterministic work
+// counters (wall times are never gated); each bound is the measured count
+// plus ~10% headroom.
+func TestEngineRunAllocs(t *testing.T) {
+	sc, m := engineRunKernel()
+	for _, c := range []struct {
+		engine exec.Engine
+		max    float64
+	}{
+		{exec.EngineWalk, 785},     // measured 714 (234,198 before the walk cuts)
+		{exec.EngineBytecode, 450}, // measured 409 (455 before register cells)
+	} {
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := c.engine.Run(sc.Source, sc.NP, m.Costs, m.Profile); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs/run (bound %.0f)", c.engine, got, c.max)
+		if got > c.max {
+			t.Errorf("%s: %.0f allocs/run, bound %.0f", c.engine, got, c.max)
+		}
 	}
 }
 

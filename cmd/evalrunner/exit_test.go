@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	osexec "os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,9 +19,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestUnknownEngineExit2: a bad -engine name is a usage error (exit 2),
+// TestUnknownEngineExit2: a bad -engine name, and a -cpuprofile or
+// -memprofile path that cannot be created, are usage errors (exit 2),
 // diagnosed before any sweeping starts.
 func TestUnknownEngineExit2(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
 	cases := []struct {
 		name    string
 		args    string
@@ -29,6 +32,8 @@ func TestUnknownEngineExit2(t *testing.T) {
 		{name: "unknown engine", args: "-engine jit", wantOut: "unknown engine"},
 		{name: "compile engine", args: "-engine compile", wantOut: "unknown engine"},
 		{name: "unknown tune check engine", args: "-tune -tune-check-engine jit", wantOut: "unknown engine"},
+		{name: "unwritable cpuprofile", args: "-cpuprofile " + filepath.Join(missing, "cpu.prof"), wantOut: "-cpuprofile"},
+		{name: "unwritable memprofile", args: "-memprofile " + filepath.Join(missing, "mem.prof"), wantOut: "-memprofile"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

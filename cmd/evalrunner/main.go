@@ -19,7 +19,7 @@
 //	           [-min 20] [-q] [-tune] [-tunemax N] [-tune-konly]
 //	           [-tune-check-engine walk] [-cache-dir DIR] [-verify]
 //	           [-check-baseline BENCH_harness.json] [-baseline-tol 0.01]
-//	           [-summary-md path]
+//	           [-summary-md path] [-cpuprofile FILE] [-memprofile FILE]
 //	evalrunner -merge -out merged.json shard0.json shard1.json ...
 //
 // -verify runs the static verification tier (internal/verify: the
@@ -71,9 +71,13 @@
 // reviewers see the perf delta without downloading artifacts. Both flags
 // work on sweep and -merge runs.
 //
-// Exit status 2 is a usage error: inconsistent flag combinations or
-// out-of-range values (a negative -parallel or -limit) are rejected up
-// front with a message instead of being silently reinterpreted. Exit
+// -cpuprofile and -memprofile write runtime/pprof profiles of the whole
+// run (CPU samples, and every allocation made), for `go tool pprof`.
+//
+// Exit status 2 is a usage error: inconsistent flag combinations,
+// out-of-range values (a negative -parallel or -limit) and profile paths
+// that cannot be created are rejected up front with a message instead of
+// being silently reinterpreted. Exit
 // status 1 reports a failed run or gate: it is returned when any scenario
 // fails the correctness oracle,
 // any scenario errors, any measurement reports a non-positive speedup, any
@@ -106,7 +110,11 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit status, so deferred
+// cleanups (the profiles) run on every path.
+func run() int {
 	out := flag.String("out", "BENCH_harness.json", "path of the JSON bench artifact ('' disables)")
 	seed := flag.Int64("seed", 0, "corpus seed (0 = canonical corpus)")
 	limit := flag.Int("limit", 0, "truncate the corpus to its first N scenarios (0 = all)")
@@ -128,6 +136,8 @@ func main() {
 	baselinePath := flag.String("check-baseline", "", "fail if per-profile geomeans regress vs this committed artifact ('' disables)")
 	baselineTol := flag.Float64("baseline-tol", 0.01, "relative tolerance for -check-baseline (0.01 = 1%)")
 	summaryMD := flag.String("summary-md", "", "append the per-profile geomean table as markdown to this file (e.g. $GITHUB_STEP_SUMMARY)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file ('' = off)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile to this file when the run ends ('' = off)")
 	flag.Parse()
 
 	engine, err := validateFlags(cliFlags{
@@ -138,8 +148,14 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
-		os.Exit(2)
+		return 2
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "evalrunner:", err)
+		return 2
+	}
+	defer stopProfiles()
 
 	// The baseline must be read before any artifact is written: with the
 	// default -out the sweep would otherwise overwrite the committed
@@ -147,31 +163,29 @@ func main() {
 	baseline, err := loadBaseline(*baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner: -check-baseline:", err)
-		os.Exit(1)
+		return 1
 	}
 
 	if *merge {
-		runMerge(*out, flag.Args(), *seed, *quiet, baseline, *baselineTol, *summaryMD)
-		return
+		return runMerge(*out, flag.Args(), *seed, *quiet, baseline, *baselineTol, *summaryMD)
 	}
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "evalrunner: unexpected arguments (did you mean -merge?):", flag.Args())
-		os.Exit(2)
+		return 2
 	}
 
 	machines, err := resolveMachines(*machineList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
-		os.Exit(2)
+		return 2
 	}
 
 	if *fleetAddr != "" {
-		runFleet(*fleetAddr, fleet.SweepSpec{
+		return runFleet(*fleetAddr, fleet.SweepSpec{
 			Seed: *seed, Limit: *limit, Machines: machineNames(*machineList),
 			Tune: *tuneFlag, TuneMax: *tuneMax, KOnly: *konly,
 			Verify: *verifyFlag, Shards: *fleetShards,
 		}, *out, *min, *quiet, baseline, *baselineTol, *summaryMD)
-		return
 	}
 
 	full := workload.GenerateScenarios(workload.GenOptions{Seed: *seed})
@@ -181,19 +195,19 @@ func main() {
 	}
 	if len(scenarios) < *min {
 		fmt.Fprintf(os.Stderr, "evalrunner: corpus has %d scenarios, need at least %d\n", len(scenarios), *min)
-		os.Exit(1)
+		return 1
 	}
 	sharded := false
 	if *shard != "" {
 		scenarios, err = workload.SelectShard(scenarios, *shard)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "evalrunner:", err)
-			os.Exit(2)
+			return 2
 		}
 		sharded = true
 		if len(scenarios) == 0 {
 			fmt.Fprintln(os.Stderr, "evalrunner: shard selects no scenarios")
-			os.Exit(2)
+			return 2
 		}
 	}
 
@@ -202,12 +216,12 @@ func main() {
 		store, err := exec.NewDiskStore(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "evalrunner: -cache-dir:", err)
-			os.Exit(1)
+			return 1
 		}
 		sess, err = session.New(session.Options{Engine: engine, Store: store})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "evalrunner:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -219,7 +233,7 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
-		os.Exit(1)
+		return 1
 	}
 	if !*quiet {
 		fmt.Print(rep.Table())
@@ -236,7 +250,7 @@ func main() {
 	if *out != "" {
 		if err := rep.WriteJSON(*out); err != nil {
 			fmt.Fprintln(os.Stderr, "evalrunner:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
@@ -254,8 +268,9 @@ func main() {
 	ok := gates(rep, aggregate, strict, *tuneFlag)
 	ok = postProcess(rep, baseline, *baselineTol, *summaryMD, "differential sweep") && ok
 	if !ok {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // cliFlags is the subset of flags whose combinations or values can be
@@ -365,7 +380,7 @@ func machineNames(list string) []string {
 // reporting, artifact, and gate path as a local merged run: the fleet's
 // merged artifact covers the whole (possibly -limit-truncated) corpus, so
 // the aggregate gates run here rather than on any worker.
-func runFleet(coord string, spec fleet.SweepSpec, out string, min int, quiet bool, baseline *harness.Report, baselineTol float64, summaryMD string) {
+func runFleet(coord string, spec fleet.SweepSpec, out string, min int, quiet bool, baseline *harness.Report, baselineTol float64, summaryMD string) int {
 	full := workload.GenerateScenarios(workload.GenOptions{Seed: spec.Seed})
 	size := len(full)
 	if spec.Limit > 0 && spec.Limit < size {
@@ -373,13 +388,13 @@ func runFleet(coord string, spec fleet.SweepSpec, out string, min int, quiet boo
 	}
 	if size < min {
 		fmt.Fprintf(os.Stderr, "evalrunner: corpus has %d scenarios, need at least %d\n", size, min)
-		os.Exit(1)
+		return 1
 	}
 	client := &fleet.Client{Base: coord}
 	rep, err := client.RunSweep(context.Background(), spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
-		os.Exit(1)
+		return 1
 	}
 	if !quiet {
 		fmt.Print(rep.Table())
@@ -395,7 +410,7 @@ func runFleet(coord string, spec fleet.SweepSpec, out string, min int, quiet boo
 	if out != "" {
 		if err := rep.WriteJSON(out); err != nil {
 			fmt.Fprintln(os.Stderr, "evalrunner:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("wrote %s (fleet sweep via %s)\n", out, coord)
 	}
@@ -403,8 +418,9 @@ func runFleet(coord string, spec fleet.SweepSpec, out string, min int, quiet boo
 	ok := gates(rep, true, strict, spec.Tune)
 	ok = postProcess(rep, baseline, baselineTol, summaryMD, "fleet tuned sweep") && ok
 	if !ok {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // loadBaseline reads the -check-baseline artifact ("" means the gate is
@@ -458,10 +474,10 @@ func postProcess(rep, baseline *harness.Report, tol float64, summaryMD, title st
 
 // runMerge folds shard artifacts into one report, writes it, and applies
 // the full gate set.
-func runMerge(out string, paths []string, seed int64, quiet bool, baseline *harness.Report, baselineTol float64, summaryMD string) {
+func runMerge(out string, paths []string, seed int64, quiet bool, baseline *harness.Report, baselineTol float64, summaryMD string) int {
 	if len(paths) < 2 {
 		fmt.Fprintln(os.Stderr, "evalrunner: -merge needs at least two input artifacts")
-		os.Exit(1)
+		return 1
 	}
 	var reports []*harness.Report
 	tuned := false
@@ -469,7 +485,7 @@ func runMerge(out string, paths []string, seed int64, quiet bool, baseline *harn
 		r, err := harness.ReadJSON(p)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "evalrunner:", err)
-			os.Exit(1)
+			return 1
 		}
 		for _, o := range r.Scenarios {
 			if len(o.Tuned) > 0 {
@@ -481,7 +497,7 @@ func runMerge(out string, paths []string, seed int64, quiet bool, baseline *harn
 	rep, err := harness.Merge(reports)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
-		os.Exit(1)
+		return 1
 	}
 	if !quiet {
 		fmt.Print(rep.Table())
@@ -489,7 +505,7 @@ func runMerge(out string, paths []string, seed int64, quiet bool, baseline *harn
 	if out != "" {
 		if err := rep.WriteJSON(out); err != nil {
 			fmt.Fprintln(os.Stderr, "evalrunner:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("wrote %s (merged from %d shards)\n", out, len(paths))
 	}
@@ -498,8 +514,9 @@ func runMerge(out string, paths []string, seed int64, quiet bool, baseline *harn
 	ok := gates(rep, true, strict, tuned)
 	ok = postProcess(rep, baseline, baselineTol, summaryMD, "merged tuned sweep") && ok
 	if !ok {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // Offload-gate thresholds. A machine whose original runs spend at least

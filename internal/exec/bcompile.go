@@ -23,7 +23,9 @@
 //     get integer fast-path opcodes (bAddI, bLtI, ...), with DO-variable
 //     writes and call-site aliasing poisoning unstable kinds;
 //   - cell analysis: names whose scalar cell provably exists once setup
-//     ends use direct slot access; the rest use checked name opcodes.
+//     ends use direct slot access — a local is read in place, since its
+//     cell is a fixed register of the activation's register file; the
+//     rest use checked name opcodes.
 package exec
 
 import (
@@ -44,7 +46,8 @@ func (p *Program) Bytecode() *bprog {
 	p.bcOnce.Do(func() {
 		l := &lowering{subs: map[string]*unit{}, vecMap: map[[5]int64]int32{}}
 		for _, u := range p.units {
-			u.bc = &bprog{u: u, implicitNone: u.cm.implicitNone}
+			// Registers 0..nscal-1 are the scalar slots' own cells.
+			u.bc = &bprog{u: u, implicitNone: u.cm.implicitNone, regInit: make([]interp.Value, u.nscal)}
 			if u != p.main {
 				l.subs[u.name] = u
 			}
@@ -1128,12 +1131,21 @@ func (b *bc) expr(e ftn.Expr) rv {
 	return rv{reg: b.newReg(), k: kUnknown}
 }
 
+// identLoad lowers a scalar read. A local whose cell exists once setup
+// ends is read in place: its cell is its register, so no instruction is
+// emitted. A dummy's cell may be the caller's (an alias) or a temporary,
+// so it is loaded through the slot pointer.
 func (b *bc) identLoad(e *ftn.Ident) rv {
-	dst := b.newReg()
 	if b.loadFast(e.Name) {
-		b.emit(bLoadS, dst, int32(b.c.syms[e.Name].sslot))
+		sslot := int32(b.c.syms[e.Name].sslot)
+		if !b.isParam[e.Name] {
+			return rv{reg: sslot, k: b.scalK[e.Name]}
+		}
+		dst := b.newReg()
+		b.emit(bLoadS, dst, sslot)
 		return rv{reg: dst, k: b.scalK[e.Name]}
 	}
+	dst := b.newReg()
 	if b.setup {
 		b.setupReads[e.Name] = true
 	}

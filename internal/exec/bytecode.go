@@ -11,6 +11,15 @@
 // dedicated opcodes that read their operands from registers and call the
 // same mpi runtime and interp semantics tables the walk oracle uses.
 //
+// Scalar cells live in the register file. Every activation allocates its
+// registers with its frame, and scalar slot i's cell is register i, so the
+// body reads a local as an ordinary register operand with no load
+// instruction. Stores still go through the slot pointer (fr.scal[i] ==
+// &regs[i] for a local), which keeps by-reference passing unchanged: a
+// callee's dummy receives a pointer into its caller's register file. Only
+// dummy scalars — aliases and temporaries — are loaded through that
+// pointer (bLoadS).
+//
 // Charge batching is sound because mpi.Rank.Compute is purely additive
 // between observation points (netsim's Proc.Advance only accumulates):
 // Compute(a)+Compute(b) == Compute(a+b) as long as no MPI operation, clock
@@ -47,11 +56,11 @@ const (
 	// Frame setup (the prologue).
 	bSetConst // consts[a] = CoerceDecl(BaseType(c), regs[b]), now visible
 	bJCell    // if fr.scal[b] != nil { pc = a }
-	bNewS     // fr.scal[a] = new cell holding CoerceDecl(BaseType(c), regs[b])
+	bNewS     // create slot a's cell (register a) holding CoerceDecl(BaseType(c), regs[b])
 	bNewA     // allocate or view the array declared by decls[a]
 	bBody     // setup done: bind undeclared dummy arrays, pre-create cells; a=1 publishes the main frame
 
-	bLoadS  // regs[a] = *fr.scal[b]
+	bLoadS  // regs[a] = *fr.scal[b] (dummy scalars only: aliases and temporaries)
 	bStoreS // p := fr.scal[a]; *p = CoerceStore(*p, regs[b])
 	// Checked scalar access for names without a guaranteed cell: the
 	// tree-walker's evalIdent / lookupScalar resolution through names[].
@@ -262,8 +271,8 @@ func chargeTab(vecs [][5]int64, costs interp.CostModel) []netsim.Time {
 // bexec is the dispatch loop: a flat switch over the instruction stream.
 // No reflection, no map lookups — descriptor tables are slices indexed by
 // instruction operands.
-func (bp *bprog) bexec(x *rctx, fr *frame, regs []interp.Value) error {
-	code := bp.code
+func (bp *bprog) bexec(x *rctx, fr *frame) error {
+	code, regs := bp.code, fr.regs
 	pc := 0
 	for pc < len(code) {
 		ins := code[pc]
@@ -311,8 +320,7 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []interp.Value) error {
 				pc = int(ins.a)
 			}
 		case bNewS:
-			v := interp.CoerceDecl(ftn.BaseType(ins.c), regs[ins.b])
-			fr.scal[ins.a] = &v
+			fr.newCell(ins.a, interp.CoerceDecl(ftn.BaseType(ins.c), regs[ins.b]))
 		case bNewA:
 			if err := bp.declare(fr, regs, &bp.decls[ins.a]); err != nil {
 				return err
@@ -594,7 +602,7 @@ func (bp *bprog) bexec(x *rctx, fr *frame, regs []interp.Value) error {
 		case bCall:
 			nfr := x.pend
 			x.pend = nil
-			switch err := x.run(bp.callees[ins.a], nfr); err {
+			switch err := bp.callees[ins.a].bexec(x, nfr); err {
 			case nil, errReturn:
 			case errCycle:
 				if ins.b < 0 {
@@ -717,10 +725,7 @@ func (bp *bprog) read(fr *frame, d *nameDesc) (interp.Value, error) {
 	if bp.implicitNone {
 		return interp.Value{}, rte(d.pos, "undeclared name %s", d.name)
 	}
-	p := new(interp.Value)
-	*p = d.zero
-	fr.scal[d.sslot] = p
-	return *p, nil
+	return *fr.newCell(int32(d.sslot), d.zero), nil
 }
 
 // cell finds or creates the scalar cell behind a name for a store or a
@@ -742,10 +747,7 @@ func (bp *bprog) cell(fr *frame, d *nameDesc) (*interp.Value, error) {
 		// scalar use outside implicit none), kept as a hard error.
 		return nil, rte(d.pos, "undeclared variable %s", d.name)
 	}
-	p := new(interp.Value)
-	*p = d.zero
-	fr.scal[d.sslot] = p
-	return p, nil
+	return fr.newCell(int32(d.sslot), d.zero), nil
 }
 
 // declare runs one array declaration of the prologue: bounds from
@@ -791,8 +793,7 @@ func (bp *bprog) enter(fr *frame) {
 	}
 	for _, pe := range bp.prec {
 		if fr.scal[pe.sslot] == nil {
-			v := pe.zero
-			fr.scal[pe.sslot] = &v
+			fr.newCell(pe.sslot, pe.zero)
 		}
 	}
 }
@@ -836,10 +837,9 @@ func (x *rctx) bindArg(fr *frame, regs []interp.Value, bp *bprog, d *argDesc) er
 		if err != nil {
 			return err
 		}
-		nfr.scal[d.scal] = &v
+		nfr.newCell(d.scal, v)
 		return nil
 	}
-	v := regs[d.val]
-	nfr.scal[d.scal] = &v
+	nfr.newCell(d.scal, regs[d.val]) // a temporary in the dummy's own register
 	return nil
 }

@@ -75,12 +75,16 @@ type constCell struct {
 	set bool
 }
 
-// frame is one procedure activation: slot-indexed storage. Scalar slots
-// hold pointers so dummy arguments alias the caller's storage exactly like
-// the tree-walker's map of *Value; nil means "not yet created" (the
+// frame is one procedure activation: slot-indexed storage plus the
+// activation's register file. Scalar slot i's own cell is register i:
+// creating a cell points scal[i] at regs[i], so the body reads a local
+// through its register with no load instruction. A dummy's slot may
+// instead hold the caller's pointer (by-reference binding, exactly like
+// the tree-walker's map of *Value); nil means "not yet created" (the
 // tree-walker's missing map entry).
 type frame struct {
 	scal   []*interp.Value
+	regs   []interp.Value
 	arr    []*interp.Array
 	consts []constCell
 	// bind holds the caller's array bindings by array slot (subroutine
@@ -89,8 +93,15 @@ type frame struct {
 	bind []*interp.Array
 }
 
+// newFrame opens an activation of a lowered unit: empty slots and a
+// register file holding the folded constants.
 func (u *unit) newFrame() *frame {
-	fr := &frame{scal: make([]*interp.Value, u.nscal), consts: make([]constCell, u.nconst)}
+	fr := &frame{
+		scal:   make([]*interp.Value, u.nscal),
+		regs:   make([]interp.Value, len(u.bc.regInit)),
+		consts: make([]constCell, u.nconst),
+	}
+	copy(fr.regs, u.bc.regInit)
 	if len(u.params) == 0 {
 		fr.arr = make([]*interp.Array, u.narr)
 		return fr
@@ -98,6 +109,14 @@ func (u *unit) newFrame() *frame {
 	arrs := make([]*interp.Array, 2*u.narr)
 	fr.arr, fr.bind = arrs[:u.narr], arrs[u.narr:]
 	return fr
+}
+
+// newCell creates scalar slot s's cell in its register, holding v.
+func (fr *frame) newCell(s int32, v interp.Value) *interp.Value {
+	p := &fr.regs[s]
+	*p = v
+	fr.scal[s] = p
+	return p
 }
 
 // rctx is the per-rank execution context: everything mutable during a run.
@@ -184,9 +203,10 @@ func (p *Program) RunBytecode(np int, prof netsim.Profile, costs interp.CostMode
 		res.Errors[r.Me()] = runErr
 		if x.main != nil {
 			snap := map[string]interface{}{}
+			inFlight := mpi.RecvInFlight(x.reqs)
 			for i, a := range x.main.arr {
 				if a != nil {
-					snap[p.main.arrNames[i]] = a.Snapshot()
+					snap[p.main.arrNames[i]] = a.Snapshot(inFlight)
 				}
 			}
 			res.Arrays[r.Me()] = snap
@@ -222,16 +242,9 @@ func (x *rctx) runRank(bp *bprog) (err error) {
 			err = fmt.Errorf("interp panic: %v", r)
 		}
 	}()
-	err = x.run(bp, bp.u.newFrame())
+	err = bp.bexec(x, bp.u.newFrame())
 	if err == errStop || err == errReturn {
 		err = nil
 	}
 	return err
-}
-
-// run executes one activation of a lowered unit on a fresh register file.
-func (x *rctx) run(bp *bprog, fr *frame) error {
-	regs := make([]interp.Value, len(bp.regInit))
-	copy(regs, bp.regInit)
-	return bp.bexec(x, fr, regs)
 }

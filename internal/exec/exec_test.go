@@ -171,8 +171,14 @@ func TestCorpusBitIdentical(t *testing.T) {
 // requests posted inside a subroutine, a dummy array read by frame setup
 // before its declaration (an implicit scalar, like the walker's binding
 // map), implicit scalars read but never assigned, and PRINT of mixed
-// kinds; and runtime errors raised inside subroutines, whose strings must
-// match the oracle's.
+// kinds; the register-cell aliasing paths: a local passed by reference,
+// written by the callee and read back (also as a DO bound), a DO variable
+// passed by reference, MPI outputs stored into locals and used as
+// subscripts, a subroutine local created by setup through an implicit read
+// before its declaration, locals starting fresh in every activation, and
+// a local read under implicit none before any assignment; and runtime
+// errors raised inside subroutines, whose strings must match the
+// oracle's.
 func TestSubroutineAndImplicitSemantics(t *testing.T) {
 	src := `
 program torture
@@ -297,6 +303,142 @@ end subroutine quit
 		runAll(t, "subpaths/"+m.Name, subpaths, 2, m)
 	}
 
+	regcells := `
+program regcells
+  include 'mpif.h'
+  integer reqs(1:4), sbuf(1:4), rbuf(1:4), hits(0:3)
+  integer ierr, me, np, other, n, i, j, total, req, r2
+  call mpi_init(ierr)
+  call mpi_comm_rank(mpi_comm_world, me, ierr)
+  hits(me) = ierr + 1
+  call mpi_comm_size(mpi_comm_world, np, ierr)
+  hits(np - 1) = hits(np - 1) + me * 7
+  other = np - 1 - me
+  do i = 1, 4
+    sbuf(i) = me * 10 + i
+    rbuf(i) = 0
+    reqs(i) = 0
+  enddo
+  call mpi_irecv(rbuf, 4, mpi_integer, other, 3, mpi_comm_world, req, ierr)
+  reqs(req) = req + ierr
+  call mpi_isend(sbuf, 4, mpi_integer, other, 3, mpi_comm_world, r2, ierr)
+  reqs(r2) = r2 * 5
+  rbuf(r2 + ierr) = r2
+  call mpi_wait(req, mpi_status_ignore, ierr)
+  call mpi_wait(r2, mpi_status_ignore, ierr)
+  rbuf(req + 1) = rbuf(req + 1) + req + r2 + ierr
+  n = 2
+  call setn(n)
+  total = n
+  do i = 1, n
+    total = total + i
+  enddo
+  call relay(n, total)
+  total = total + n
+  do j = 1, 3
+    call twice(j, total)
+    total = total + j
+  enddo
+  call fresh(total)
+  call fresh(total)
+  call early(total)
+  call early(total)
+  call strict(total)
+  print *, 'regcells', me, np, total, n, i, j, req, r2, reqs(1), reqs(2), rbuf(1), rbuf(2), rbuf(4), hits(0), hits(np - 1)
+  call mpi_finalize(ierr)
+end program regcells
+
+subroutine setn(k)
+  integer k
+  k = k * 3
+end subroutine setn
+
+subroutine relay(k, acc)
+  integer k, acc
+  call setn(k)
+  acc = acc + k
+end subroutine relay
+
+subroutine twice(v, acc)
+  integer v, acc
+  acc = acc + v * 100
+  v = v + 10
+end subroutine twice
+
+subroutine fresh(acc)
+  integer acc
+  integer cnt
+  cnt = cnt + 1
+  tmp = tmp + 2.5
+  acc = acc + cnt * 1000 + int(tmp * 2.0)
+end subroutine fresh
+
+subroutine early(acc)
+  integer acc
+  real w(1:xx + 2)
+  integer xx
+  xx = xx + 5
+  w(2) = xx / 2
+  acc = acc + int(xx * 3.0) + int(w(2) * 10.0)
+end subroutine early
+
+subroutine strict(acc)
+  implicit none
+  integer acc
+  integer z
+  real q
+  acc = acc + z + int(q)
+  z = 4
+  q = z / 8.0
+  acc = acc + z + int(q * 10.0)
+end subroutine strict
+`
+	for _, m := range plan.Builtin() {
+		runAll(t, "regcells/"+m.Name, regcells, 2, m)
+	}
+
+	// A receive never waited for, whose data lands after the receiving
+	// rank finished: Result.Arrays holds each rank's arrays as of its
+	// finish, so rank 1's rbuf keeps its -1 fill under every engine.
+	late := `
+program late
+  include 'mpif.h'
+  integer rbuf(1:4)
+  integer ierr, me, req, i
+  real x
+  call mpi_init(ierr)
+  call mpi_comm_rank(mpi_comm_world, me, ierr)
+  do i = 1, 4
+    rbuf(i) = -1
+  enddo
+  if (me == 1) then
+    call mpi_irecv(rbuf, 4, mpi_integer, 0, 5, mpi_comm_world, req, ierr)
+  else
+    x = 0.0
+    do i = 1, 2000
+      x = x + sqrt(real(i))
+    enddo
+    do i = 1, 4
+      rbuf(i) = i * 11
+    enddo
+    call mpi_send(rbuf, 4, mpi_integer, 1, 5, mpi_comm_world, ierr)
+  endif
+  call mpi_finalize(ierr)
+end program late
+`
+	for _, m := range plan.Builtin() {
+		runAll(t, "late/"+m.Name, late, 2, m)
+		for _, eng := range append([]exec.Engine{exec.EngineWalk}, fastEngines...) {
+			res, err := eng.Run(late, 2, m.Costs, m.Profile)
+			if err != nil {
+				t.Fatalf("late/%s/%s: %v", m.Name, eng, err)
+			}
+			if got := fmt.Sprint(res.Arrays[1]["rbuf"]); got != "[-1 -1 -1 -1]" {
+				t.Fatalf("late/%s/%s: rank 1 rbuf %s, want its contents at finish [-1 -1 -1 -1]", m.Name, eng, got)
+			}
+		}
+	}
+
 	failing := map[string]string{
 		"divide": `
 program suberr
@@ -339,6 +481,21 @@ end program oob
 subroutine peek(v)
   x = v(9)
 end subroutine peek
+`,
+		"implicit-none-local": `
+program strictread
+  integer ierr, acc
+  call mpi_init(ierr)
+  acc = 1
+  call strict(acc)
+  call mpi_finalize(ierr)
+end program strictread
+
+subroutine strict(acc)
+  implicit none
+  integer acc
+  acc = acc + zz
+end subroutine strict
 `,
 	}
 	m := plan.MPICHGM2005()
@@ -394,4 +551,65 @@ end program fwdconst
 `
 	m := plan.MPICHGM2005()
 	runAll(t, "fwdconst", src, 2, m)
+}
+
+// TestResultArraysOwnedPerRun: a finished rank hands its main-frame array
+// storage to Result.Arrays without copying, so that storage must belong
+// to the run. A second run of the same stored Program (and of the walk
+// engine) on another rank count writes different values; the first
+// result's arrays must be byte-identical afterwards.
+func TestResultArraysOwnedPerRun(t *testing.T) {
+	src := `
+program owned
+  include 'mpif.h'
+  integer a(1:6)
+  real r(1:3)
+  integer ierr, me, np, i
+  call mpi_init(ierr)
+  call mpi_comm_rank(mpi_comm_world, me, ierr)
+  call mpi_comm_size(mpi_comm_world, np, ierr)
+  do i = 1, 6
+    a(i) = i * np + me
+  enddo
+  call halve(a(4), r, np)
+  call mpi_finalize(ierr)
+end program owned
+
+subroutine halve(v, r, np)
+  integer np
+  integer v(1:3)
+  real r(1:3)
+  do j = 1, 3
+    v(j) = v(j) * 10
+    r(j) = v(j) / (2.0 * np)
+  enddo
+end subroutine halve
+`
+	m := plan.MPICHGM2005()
+	p, err := exec.CompileSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]func(np int) (*interp.Result, error){
+		"bytecode": func(np int) (*interp.Result, error) { return p.RunBytecode(np, m.Profile, m.Costs) },
+		"walk":     func(np int) (*interp.Result, error) { return exec.EngineWalk.Run(src, np, m.Costs, m.Profile) },
+	}
+	dump := func(res *interp.Result) string { return fmt.Sprintf("%v", res.Arrays) }
+	for name, run := range engines {
+		first, err := run(2)
+		if err != nil {
+			t.Fatalf("%s: first run: %v", name, err)
+		}
+		want, wantRank0 := dump(first), fmt.Sprint(first.Arrays[0])
+		second, err := run(3)
+		if err != nil {
+			t.Fatalf("%s: second run: %v", name, err)
+		}
+		if fmt.Sprint(second.Arrays[0]) == wantRank0 {
+			t.Fatalf("%s: both runs computed rank 0's arrays as %s; the check could not see shared storage", name, wantRank0)
+		}
+		if got := dump(first); got != want {
+			t.Fatalf("%s: first result's arrays changed by a later run:\n%s\nwant\n%s", name, got, want)
+		}
+	}
 }

@@ -299,16 +299,21 @@ func (a *Array) RawSet(off int64, v Value) { a.Store.set(a.Offset+off, v) }
 // Kind returns the element kind of the backing storage.
 func (a *Array) Kind() Kind { return a.Store.kind }
 
-// Snapshot copies the whole view's contents as []Value-free raw data for
-// equivalence checks.
-func (a *Array) Snapshot() interface{} {
-	n := a.Size()
+// Snapshot returns the view's contents as raw data ([]int64 or
+// []float64) for equivalence checks, taken once the rank has finished.
+// Storage is allocated per run, so the view's storage is handed over
+// without copying, unless inFlight: then a receive the rank never waited
+// for may still land in it, and a copy keeps the contents at finish.
+func (a *Array) Snapshot(inFlight bool) interface{} {
+	lo, hi := a.Offset, a.Offset+a.Size()
 	if a.Store.kind == KReal {
-		out := make([]float64, n)
-		copy(out, a.Store.reals[a.Offset:a.Offset+n])
-		return out
+		if inFlight {
+			return append([]float64(nil), a.Store.reals[lo:hi]...)
+		}
+		return a.Store.reals[lo:hi:hi]
 	}
-	out := make([]int64, n)
-	copy(out, a.Store.ints[a.Offset:a.Offset+n])
-	return out
+	if inFlight {
+		return append([]int64(nil), a.Store.ints[lo:hi]...)
+	}
+	return a.Store.ints[lo:hi:hi]
 }

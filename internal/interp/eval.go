@@ -132,9 +132,17 @@ func (m *machine) evalBinary(fr *frame, e *ftn.Binary) (Value, error) {
 // evalRef evaluates name(args): array element load or intrinsic call.
 func (m *machine) evalRef(fr *frame, e *ftn.Ref) (Value, error) {
 	if a, ok := fr.arr[e.Name]; ok {
-		subs, err := m.evalSubs(fr, e.Args)
-		if err != nil {
-			return Value{}, err
+		// The loop is evalSubs inlined: evalRef recurses through evalExpr,
+		// and a slice returned from inside that recursion would move buf
+		// to the heap.
+		var buf [4]int64
+		subs := buf[:0]
+		for _, x := range e.Args {
+			v, err := m.evalExpr(fr, x)
+			if err != nil {
+				return Value{}, err
+			}
+			subs = append(subs, v.AsInt())
 		}
 		m.charge(m.costs.Load)
 		v, err := a.Get(subs)
@@ -146,15 +154,18 @@ func (m *machine) evalRef(fr *frame, e *ftn.Ref) (Value, error) {
 	return m.evalIntrinsic(fr, e)
 }
 
-// evalIntrinsic dispatches the supported intrinsic functions.
+// evalIntrinsic dispatches the supported intrinsic functions. Arguments
+// are evaluated into a fixed stack buffer, so a call allocates nothing
+// unless a min/max list outgrows it.
 func (m *machine) evalIntrinsic(fr *frame, e *ftn.Ref) (Value, error) {
-	args := make([]Value, len(e.Args))
-	for i, a := range e.Args {
+	var buf [4]Value
+	args := buf[:0]
+	for _, a := range e.Args {
 		v, err := m.evalExpr(fr, a)
 		if err != nil {
 			return Value{}, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	m.charge(m.costs.Op)
 	if e.Name == "mpi_wtime" {

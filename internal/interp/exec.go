@@ -366,7 +366,8 @@ func (m *machine) store(fr *frame, lhs ftn.Expr, v Value) error {
 		if !ok {
 			return rte(lhs.Pos(), "assignment to %s, which is not an array", lhs.Name)
 		}
-		subs, err := m.evalSubs(fr, lhs.Args)
+		var buf [4]int64
+		subs, err := m.evalSubs(fr, lhs.Args, buf[:0])
 		if err != nil {
 			return err
 		}
@@ -399,14 +400,16 @@ func coerceStore(old, v Value) Value {
 	return v
 }
 
-func (m *machine) evalSubs(fr *frame, args []ftn.Expr) ([]int64, error) {
-	subs := make([]int64, len(args))
-	for i, a := range args {
+// evalSubs appends the subscripts, evaluated as integers, to subs and
+// returns it. Callers pass an empty slice of a stack array, so an array
+// access allocates nothing.
+func (m *machine) evalSubs(fr *frame, args []ftn.Expr, subs []int64) ([]int64, error) {
+	for _, a := range args {
 		v, err := m.evalExpr(fr, a)
 		if err != nil {
 			return nil, err
 		}
-		subs[i] = v.AsInt()
+		subs = append(subs, v.AsInt())
 	}
 	return subs, nil
 }

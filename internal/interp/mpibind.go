@@ -67,7 +67,8 @@ func (m *machine) bufferArg(fr *frame, e ftn.Expr) (*Array, int64, error) {
 		if !ok {
 			return nil, 0, rte(e.Pos(), "MPI buffer %s is not an array", e.Name)
 		}
-		subs, err := m.evalSubs(fr, e.Args)
+		var buf [4]int64
+		subs, err := m.evalSubs(fr, e.Args, buf[:0])
 		if err != nil {
 			return nil, 0, err
 		}
@@ -334,7 +335,8 @@ func (m *machine) callUser(fr *frame, s *ftn.CallStmt) error {
 			bindScal[dummy] = p // alias: writes are visible to the caller
 		case *ftn.Ref:
 			if arr, ok := fr.arr[a.Name]; ok {
-				subs, err := m.evalSubs(fr, a.Args)
+				var buf [4]int64
+				subs, err := m.evalSubs(fr, a.Args, buf[:0])
 				if err != nil {
 					return err
 				}

@@ -88,8 +88,9 @@ func (p *Program) Run(np int, prof netsim.Profile) (*Result, error) {
 		res.Errors[r.Me()] = runErr
 		if m.main != nil {
 			snap := map[string]interface{}{}
+			inFlight := mpi.RecvInFlight(m.reqs)
 			for name, a := range m.main.arr {
-				snap[name] = a.Snapshot()
+				snap[name] = a.Snapshot(inFlight)
 			}
 			res.Arrays[r.Me()] = snap
 		}

@@ -32,6 +32,17 @@ type Request struct {
 	kind  string
 }
 
+// RecvInFlight reports whether any of reqs is a receive whose data has
+// not landed yet. Nil entries (requests already waited for) are skipped.
+func RecvInFlight(reqs []*Request) bool {
+	for _, q := range reqs {
+		if q != nil && q.recv && !q.done.Done() {
+			return true
+		}
+	}
+	return false
+}
+
 // World couples a simulated cluster with per-rank MPI endpoint state.
 type World struct {
 	Cluster *netsim.Cluster
